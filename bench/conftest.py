@@ -1,0 +1,6 @@
+"""Lets ``python3 -m pytest bench`` import qmem from ``src``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
