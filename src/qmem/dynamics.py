@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import TWO_PI
 from .errors import (
@@ -305,8 +306,8 @@ class DensityMatrix:
     """Density matrix on a truncated tensor-product space.
 
     Validates hermiticity (1e-10), unit trace (1e-9), and positivity
-    (eigenvalue floor -1e-9) at construction, so any state produced by
-    the integrator carries those guarantees.
+    (eigenvalue floor -1e-9) at construction, so every final state that
+    ``evolve`` and ``iswap`` return carries those guarantees.
     """
 
     dims: tuple[int, ...]
@@ -361,30 +362,87 @@ class EvolutionResult:
     snapshots: np.ndarray  # (n_records, d, d) complex
 
 
-def _lindblad_rhs(h_angular, rho, collapse):
-    drho = -1j * (h_angular @ rho - rho @ h_angular)
-    for rate, op, op_dag, op_dag_op in collapse:
-        drho += rate * (op @ rho @ op_dag - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
-    return drho
+def _jump_operators(dims, decay: list, dephase: list) -> list:
+    """(rate, C) pairs of the dissipators rate * D[C]: lowering operators
+    at the decay rates and number operators at twice the dephasing rates,
+    so that coherences decay at the stated rate.  Zero rates are dropped."""
+    lowering = [_embed(_destroy(d), dims, k) for k, d in enumerate(dims)]
+    return ([(g, a) for g, a in zip(decay, lowering) if g > 0.0]
+            + [(2.0 * g, a.T @ a) for g, a in zip(dephase, lowering) if g > 0.0])
 
 
-def _integrate(h_angular, rho, collapse, duration, dt, record_indices):
-    n_steps = max(int(math.ceil(duration / dt)), 1) if duration > 0.0 else 0
-    dt_eff = duration / n_steps if n_steps else 0.0
-    snapshots = []
-    record = set(record_indices)
-    if 0 in record:
-        snapshots.append(rho.copy())
-    for step in range(1, n_steps + 1):
-        k1 = _lindblad_rhs(h_angular, rho, collapse)
-        k2 = _lindblad_rhs(h_angular, rho + 0.5 * dt_eff * k1, collapse)
-        k3 = _lindblad_rhs(h_angular, rho + 0.5 * dt_eff * k2, collapse)
-        k4 = _lindblad_rhs(h_angular, rho + dt_eff * k3, collapse)
-        rho = rho + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)  # discard roundoff antihermiticity
-        if step in record:
-            snapshots.append(rho.copy())
-    return rho, snapshots
+def _closure(links: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Indices reachable from the boolean mask ``reach``, where index j
+    reaches index i when ``links[i, j]``."""
+    while not np.array_equal(grown := reach | np.any(links[:, reach], axis=1), reach):
+        reach = grown
+    return np.flatnonzero(reach)
+
+
+def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
+    """(idx, keep, L): the basis states of the invariant subspace of
+    ``rho0``, the entries of the row-major vec(rho) on it that the
+    evolution reaches, and the Lindbladian (rad/s) on those entries, with
+    vec(A rho B) = (A kron B^T) vec(rho).
+
+    The subspace is the fewest basis states that hold the support of
+    ``rho0`` and are closed under the nonzero patterns of H, of every
+    jump operator C and of every C^dag C, so every Lindblad term maps
+    operators on it into it and the restriction is exact.  For the RWA
+    Hamiltonian it is the excitation manifolds at or below those
+    ``rho0`` occupies; a dense H makes it the whole space.  The same
+    closure over the pattern of L then drops coherences that are never
+    reached, such as those between manifolds when ``rho0`` has none."""
+    # index j reaches index i when some generator has a nonzero (i, j) entry
+    links = (h_hz != 0) | (h_hz.T != 0)
+    for _, op in jumps:
+        links |= (op != 0) | ((op.conj().T @ op) != 0)
+    idx = _closure(links, np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
+    block = np.ix_(idx, idx)
+    h = h_hz[block]
+    eye = np.eye(len(idx))
+    out = -1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, op in jumps:
+        # on a closed subspace C^dag C restricts to C^dag C of the restricted C
+        op = op[block]
+        op_dag_op = op.conj().T @ op
+        out += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(op_dag_op, eye)
+                       - 0.5 * np.kron(eye, op_dag_op.T))
+    keep = _closure(out != 0, rho0[block].reshape(-1) != 0)
+    return idx, keep, out[np.ix_(keep, keep)]
+
+
+def _propagate(idx: np.ndarray, keep: np.ndarray, liouvillian: np.ndarray,
+               rho0: np.ndarray, duration: float, n_records: int):
+    """(times, records, final): the states on the subspace ``idx`` at
+    linspace(0, duration, n_records) and the full-space state at
+    ``duration``, from ``_restrict``'s entries ``keep`` and L on them.
+    Record k is P^k rho0 with P = exp(L dt) the step propagator over the
+    record spacing, so the final state is the last of two or more
+    records, and exp(L duration) rho0 otherwise."""
+    block = np.ix_(idx, idx)
+    n = len(idx)
+    times = np.linspace(0.0, duration, n_records)
+    vecs = np.empty((n_records + 1, len(keep)), dtype=complex)  # records, then final
+    vecs[0] = rho0[block].reshape(-1)[keep]
+    if n_records >= 2:
+        # doubling: P^m maps records 0..m-1 onto records m..2m-1
+        filled, power = 1, expm(liouvillian * times[1])
+        while filled < n_records:
+            take = min(filled, n_records - filled)
+            vecs[filled:filled + take] = vecs[:take] @ power.T
+            filled += take
+            power = power @ power
+        vecs[-1] = vecs[-2]
+    else:
+        vecs[-1] = expm(liouvillian * duration) @ vecs[0]
+    states = np.zeros((n_records + 1, n * n), dtype=complex)
+    states[:, keep] = vecs
+    states = states.reshape(-1, n, n)
+    states = 0.5 * (states + states.conj().transpose(0, 2, 1))  # discard roundoff antihermiticity
+    final = np.zeros_like(rho0)
+    final[block] = states[-1]
+    return times, states[:n_records], final
 
 
 def evolve(
@@ -402,13 +460,15 @@ def evolve(
     ``decay_rates`` lists one energy decay rate (1/s) per tensor factor
     of ``rho0.dims`` (lowering-operator dissipators); optional
     ``dephasing_rates`` add number-operator dissipators producing pure
-    dephasing at the given rates.  Fixed-step fourth-order integration:
-    an explicit ``dt`` must satisfy dt <= 0.01/max(|H|/h, Gamma) (else
-    ``StepTooLarge``); with ``dt=None`` the step is halved until the
-    final state changes by less than 1e-8.
+    dephasing at the given rates.  The generator is constant, so the
+    state is propagated exactly, rho(t) = exp(L t) rho0, on the invariant
+    subspace of rho0 (``_restrict``), where the dense Liouvillian
+    has n^4 entries for n states.  ``dt`` sets no step: it is only a
+    precondition, dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
 
-    ``n_records`` > 0 additionally returns equally spaced state
-    snapshots including both endpoints.
+    ``snapshots`` holds exactly ``n_records`` states at
+    linspace(0, duration, n_records); ``final`` is always the state at
+    ``duration``.
     """
     dims = rho0.dims
     decay = [float(g) for g in decay_rates]
@@ -423,76 +483,37 @@ def evolve(
         raise ValueError("duration must be >= 0")
 
     h_hz = np.asarray(h_hz, dtype=complex)
-    collapse = []
-    for k, rate in enumerate(decay):
-        if rate > 0.0:
-            op = _embed(_destroy(dims[k]), dims, k)
-            collapse.append((rate, op, op.conj().T, op.conj().T @ op))
-    for k, rate in enumerate(dephase):
-        if rate > 0.0:
-            a = _destroy(dims[k])
-            op = _embed(a.conj().T @ a, dims, k)
-            # coherences decay at the stated rate under D[n] with prefactor 2
-            collapse.append((2.0 * rate, op, op.conj().T, op.conj().T @ op))
-
-    h_norm = float(np.linalg.norm(h_hz, 2))
-    scale = max(h_norm, max(decay + dephase, default=0.0))
-    if scale == 0.0:
-        scale = 1.0 / duration if duration > 0.0 else 1.0
-    dt_max = 0.01 / scale
-    h_angular = TWO_PI * h_hz
-
-    if duration == 0.0:
-        times = np.zeros(max(n_records, 1))
-        snaps = np.repeat(rho0.matrix[None, :, :], max(n_records, 1), axis=0)
-        return EvolutionResult(final=rho0, times=times, snapshots=snaps)
-
     if dt is not None:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        scale = max(float(np.linalg.norm(h_hz, 2)), *decay, *dephase)
+        if scale == 0.0:
+            scale = 1.0 / duration if duration > 0.0 else 1.0
+        dt_max = 0.01 / scale
         if dt > dt_max * (1.0 + 1e-12):
             raise StepTooLarge(
                 f"dt = {dt:.3g} s exceeds 0.01/max(|H|/h, Gamma) = {dt_max:.3g} s"
             )
-        chosen = dt
-    else:
-        chosen = dt_max
-        prev, _ = _integrate(h_angular, rho0.matrix, collapse, duration, chosen, ())
-        for _ in range(16):
-            chosen /= 2.0
-            current, _ = _integrate(h_angular, rho0.matrix, collapse, duration, chosen, ())
-            if float(np.linalg.norm(current - prev)) < 1e-8:
-                break
-            prev = current
-        else:
-            raise StepTooLarge("step-halving did not converge to 1e-8")
 
-    n_steps = max(int(math.ceil(duration / chosen)), 1)
-    if n_records > 0:
-        record_indices = np.unique(
-            np.round(np.linspace(0, n_steps, n_records)).astype(int)
-        )
-    else:
-        record_indices = np.array([n_steps])
-    rho, snapshots = _integrate(
-        h_angular, rho0.matrix, collapse, duration, chosen, record_indices
-    )
-    times = record_indices * (duration / n_steps)
-    return EvolutionResult(
-        final=DensityMatrix(dims, rho),
-        times=times,
-        snapshots=np.array(snapshots),
-    )
+    idx, keep, liouvillian = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
+    times, records, final = _propagate(idx, keep, liouvillian, rho0.matrix, duration, n_records)
+    snapshots = np.zeros((n_records,) + final.shape, dtype=complex)
+    snapshots[:, idx[:, None], idx] = records
+    return EvolutionResult(final=DensityMatrix(dims, final), times=times, snapshots=snapshots)
 
 
 @dataclass(frozen=True)
 class IswapResult:
     """Swap-gate simulation output.
 
-    ``transfer_time`` is the numerically located first maximum of the
-    transferred population; it matches the closed form 1/(4*g_eff) (the
-    pulse written as pi/(2*g_eff) in angular units).  ``t_iswap`` is the
-    conventional swap-time figure 1/(2*g_eff), twice the transfer time.
+    ``times``, ``pop_e0``, ``pop_g1`` and ``fidelity`` hold exactly
+    ``n_records`` samples on linspace(0, window, n_records), with the
+    window max(gate_time, 1.25/(4*g_eff)); g_eff = 0 gives one sample at
+    t = 0.  ``transfer_time`` is the first maximum of ``pop_g1`` on that
+    grid, refined by a parabola through its neighbours; it matches the
+    closed form 1/(4*g_eff) (the pulse written as pi/(2*g_eff) in angular
+    units).  ``t_iswap`` is the conventional swap-time figure
+    1/(2*g_eff), twice the transfer time.
     """
 
     rho_final: DensityMatrix
@@ -508,22 +529,23 @@ class IswapResult:
     fidelity: np.ndarray
 
 
-def _population_series(snapshots, dims, levels):
-    idx = int(np.ravel_multi_index(levels, dims))
-    return np.real(snapshots[:, idx, idx])
+def _populations(rho: DensityMatrix) -> dict:
+    return {key: rho.population(levels)
+            for key, levels in (("g0", (0, 0)), ("g1", (0, 1)), ("e0", (1, 0)), ("e1", (1, 1)))}
 
 
 def _first_maximum(times: np.ndarray, values: np.ndarray) -> float:
-    """Time of the first local maximum, refined by parabolic interpolation."""
-    for i in range(1, len(values) - 1):
-        if values[i] >= values[i - 1] and values[i] > values[i + 1]:
-            denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
-            if denom == 0.0:
-                return float(times[i])
-            shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
-            dt = times[i + 1] - times[i]
-            return float(times[i] + shift * dt)
-    return float(times[int(np.argmax(values))])
+    """Time of the first local maximum, refined by parabolic interpolation;
+    NaN without samples."""
+    inner = values[1:-1]
+    peaks = np.flatnonzero((inner >= values[:-2]) & (inner > values[2:])) + 1
+    if peaks.size == 0:
+        return float(times[int(np.argmax(values))]) if len(values) else math.nan
+    i = peaks[0]
+    # negative at a peak: values[i] >= values[i - 1] and values[i] > values[i + 1]
+    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
+    shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
+    return float(times[i] + shift * (times[i + 1] - times[i]))
 
 
 def iswap(
@@ -555,12 +577,7 @@ def iswap(
     if eff.g_eff == 0.0:
         times = np.zeros(1)
         ones = np.ones(1)
-        populations = {
-            "g0": rho0.population((0, 0)),
-            "g1": rho0.population((0, 1)),
-            "e0": rho0.population((1, 0)),
-            "e1": rho0.population((1, 1)),
-        }
+        populations = _populations(rho0)
         return IswapResult(
             rho_final=rho0, populations=populations, swap_fidelity=1.0,
             g_eff_hz=0.0, gate_time=0.0, transfer_time=math.inf, t_iswap=math.inf,
@@ -581,41 +598,35 @@ def iswap(
         decay = [0.0, 0.0]
         dephasing = [0.0, 0.0]
 
+    idx, keep, liouvillian = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
     # run past the nominal gate time so the first transfer maximum is
     # bracketed by recorded samples
     window = max(gate_time, 1.25 / (4.0 * eff.g_eff))
-    result = evolve(
-        rho0, h, decay, window, dt=None,
-        dephasing_rates=dephasing, n_records=n_records,
-    )
-    pop_e0 = _population_series(result.snapshots, dims, (1, 0))
-    pop_g1 = _population_series(result.snapshots, dims, (0, 1))
-    transfer_time = _first_maximum(result.times, pop_g1)
+    times, records, _ = _propagate(idx, keep, liouvillian, rho0.matrix, window, n_records)
+    # product-level populations down the records, zero off the subspace
+    pops = np.zeros((len(times), len(h)))
+    pops[:, idx] = np.real(np.diagonal(records, axis1=1, axis2=2))
+    pop_e0 = pops[:, np.ravel_multi_index((1, 0), dims)]
+    pop_g1 = pops[:, np.ravel_multi_index((0, 1), dims)]
+    transfer_time = _first_maximum(times, pop_g1)
 
     # state and populations are reported at the gate time itself
-    gate = evolve(rho0, h, decay, gate_time, dt=None, dephasing_rates=dephasing)
-    rho_final = gate.final
-    populations = {
-        "g0": rho_final.population((0, 0)),
-        "g1": rho_final.population((0, 1)),
-        "e0": rho_final.population((1, 0)),
-        "e1": rho_final.population((1, 1)),
-    }
+    rho_final = DensityMatrix(dims, _propagate(idx, keep, liouvillian, rho0.matrix, gate_time, 0)[2])
+    populations = _populations(rho_final)
 
     if rho0.purity > 1.0 - 1e-6:
-        eigvals, eigvecs = np.linalg.eigh(rho0.matrix)
-        psi0 = eigvecs[:, -1]
-        energies, basis = np.linalg.eigh(h)
+        # the ideal unitary evolution of a pure rho0 stays on the subspace too
+        block = np.ix_(idx, idx)
+        psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
+        energies, basis = np.linalg.eigh(h[block])
         coeffs = basis.conj().T @ psi0
-        phases = np.exp(-1j * TWO_PI * np.outer(result.times, energies))
+        phases = np.exp(-1j * TWO_PI * np.outer(times, energies))
         ideal = (phases * coeffs) @ basis.T
-        fidelity = np.real(
-            np.einsum("ti,tij,tj->t", ideal.conj(), result.snapshots, ideal)
-        )
+        fidelity = np.real(np.einsum("ti,tij,tj->t", ideal.conj(), records, ideal))
         psi_gate = basis @ (np.exp(-1j * TWO_PI * energies * gate_time) * coeffs)
-        swap_fidelity = float(np.real(psi_gate.conj() @ rho_final.matrix @ psi_gate))
+        swap_fidelity = float(np.real(psi_gate.conj() @ rho_final.matrix[block] @ psi_gate))
     else:
-        fidelity = np.full(len(result.times), np.nan)
+        fidelity = np.full(len(times), np.nan)
         swap_fidelity = math.nan
 
     return IswapResult(
@@ -626,7 +637,7 @@ def iswap(
         gate_time=gate_time,
         transfer_time=transfer_time,
         t_iswap=1.0 / (2.0 * eff.g_eff),
-        times=result.times,
+        times=times,
         pop_e0=pop_e0,
         pop_g1=pop_g1,
         fidelity=fidelity,

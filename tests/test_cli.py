@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -77,6 +79,20 @@ def test_iswap_dissipation_off(capsys, tmp_path, data_dir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_us", "pop_e0", "pop_g1", "fidelity"]
     assert len(rows) == len(payload["t_us"]) + 1
+
+
+def test_iswap_out_writes_one_row_per_record(capsys, tmp_path, data_dir):
+    out_path = tmp_path / "iswap.csv"
+    payload = run_json(
+        capsys, "iswap", "--config", str(data_dir / "reference_config.json"),
+        "--dissipation", "on", "--out", str(out_path),
+    )
+    with open(out_path) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 1001
+    assert float(rows[1][0]) == 0.0
+    window_us = 1e6 * 1.25 / (4.0 * payload["g_eff_Hz"])
+    assert float(rows[-1][0]) == pytest.approx(window_us, rel=1e-12)
 
 
 def test_iswap_dissipation_on_fidelity_estimate(capsys, data_dir):
@@ -240,3 +256,12 @@ def test_golden_output_structure(capsys, data_dir):
     assert sorted(payload) == sorted(golden["keys"])
     for key, value in golden["values"].items():
         assert payload[key] == pytest.approx(value, rel=1e-9), key
+
+
+def test_readme_backbone_example_runs(capsys, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    (line,) = [ln for ln in (root / "README.md").read_text().splitlines()
+               if ln.startswith("qmem backbone ")]
+    monkeypatch.chdir(root)
+    payload = run_json(capsys, *shlex.split(line)[1:])
+    assert len(payload["points"]) >= 4

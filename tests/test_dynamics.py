@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
+from qmem import dynamics
 from qmem.dynamics import (
     DensityMatrix,
     DriveSpec,
@@ -373,3 +378,154 @@ def test_lindblad_integrity_randomized():
             assert np.max(np.abs(snapshot - snapshot.conj().T)) < 1e-10
             assert abs(np.trace(snapshot).real - 1.0) < 1e-9
             assert np.min(np.linalg.eigvalsh(snapshot)) > -1e-9
+
+
+def unit_floats(shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(st.integers(2, 3), st.integers(2, 3)), data=st.data())
+def test_lindblad_records_are_states_property(dims, data):
+    # criterion 13's bounds on every record, for drawn Hermitian H,
+    # decay and dephasing rates and pure states
+    size = dims[0] * dims[1]
+    a = data.draw(unit_floats((2, size, size)))
+    a = a[0] + 1j * a[1]
+    h = 1e5 * (a + a.conj().T) / 2.0
+    v = data.draw(unit_floats((2, size)))
+    psi = v[0] + 1j * v[1]
+    assume(np.linalg.norm(psi) > 1e-3)
+    rates = data.draw(hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1e5)))
+    scale = max(np.linalg.norm(h, 2), rates.max(), 1e3)
+    duration = data.draw(st.floats(0.0, 5.0)) / scale
+    rho0 = DensityMatrix.from_state_vector(dims, psi)
+    result = evolve(rho0, h, rates[:2], duration, dephasing_rates=rates[2:], n_records=4)
+    for snapshot in result.snapshots:
+        assert np.max(np.abs(snapshot - snapshot.conj().T)) < 1e-10
+        assert abs(np.trace(snapshot).real - 1.0) < 1e-9
+        assert np.min(np.linalg.eigvalsh(snapshot)) > -1e-9
+
+
+def full_space_records(rho0, h, jumps, times):
+    """States at ``times`` from expm of the unrestricted Liouvillian,
+    with column-stacking vec(A X B) = (B^T kron A) vec(X)."""
+    size = len(h)
+    eye = np.eye(size)
+    liouvillian = -2j * math.pi * (np.kron(eye, h) - np.kron(h.T, eye))
+    for rate, op in jumps:
+        n_op = op.conj().T @ op
+        liouvillian += rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, n_op)
+                               - 0.5 * np.kron(n_op.T, eye))
+    vec = rho0.reshape(-1, order="F")
+    return np.array([(expm(liouvillian * t) @ vec).reshape((size, size), order="F")
+                     for t in times])
+
+
+def mixture(dims, *weighted):
+    """Density matrix sum_k w_k |psi_k><psi_k| / sum_k w_k from
+    {level: amplitude} dicts."""
+    rho = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for weight, amplitudes in weighted:
+        psi = np.zeros(len(rho), dtype=complex)
+        for level, amplitude in amplitudes.items():
+            psi[np.ravel_multi_index(level, dims)] = amplitude
+        psi /= np.linalg.norm(psi)
+        rho += weight * np.outer(psi, psi.conj())
+    return DensityMatrix(dims, rho / sum(weight for weight, _ in weighted))
+
+
+# excitation numbers 0-3, one pure state
+MULTI_MANIFOLD = ((1.0, {(0, 0): 0.4, (1, 0): 0.7, (1, 1): 0.3j, (0, 2): 0.3, (1, 2): -0.25}),)
+# |e,2> and |g,3> lie outside the closure of |e,0>
+OUTSIDE_WRITE = ((0.6, {(1, 0): 1.0}), (0.4, {(1, 2): 1.0, (0, 3): 1.0j}))
+# no coherences, every level with m <= 3: the evolution creates only
+# coherences within excitation manifolds
+DIAGONAL = tuple((2.0 ** -(q + m), {(q, m): 1.0}) for q in (0, 1) for m in range(4))
+
+
+@pytest.mark.parametrize("d_m", [4, 8])
+@pytest.mark.parametrize("weighted", [MULTI_MANIFOLD, OUTSIDE_WRITE, DIAGONAL],
+                         ids=["multi", "outside", "diagonal"])
+def test_subspace_restriction_matches_full_space(d_m, weighted):
+    dims = (2, d_m)
+    eff = effective_coupling(paper_system(), paper_drive())
+    h = build_rwa_hamiltonian(eff, dims)
+    rho0 = mixture(dims, *weighted)
+    decay, dephase = [3e4, 1e4], [2e4, 5e3]
+    duration = 1.25 / (4.0 * eff.g_eff)
+    result = evolve(rho0, h, decay, duration, dephasing_rates=dephase, n_records=7)
+    q = dynamics._embed(dynamics._destroy(2), dims, 0)
+    m = dynamics._embed(dynamics._destroy(d_m), dims, 1)
+    jumps = [(decay[0], q), (decay[1], m),
+             (2.0 * dephase[0], q.T @ q), (2.0 * dephase[1], m.T @ m)]
+    expected = full_space_records(rho0.matrix, h, jumps, result.times)
+    assert np.max(np.abs(result.snapshots - expected)) < 1e-10
+    assert np.max(np.abs(result.final.matrix - expected[-1])) < 1e-10
+
+
+@pytest.mark.parametrize("d_m", [4, 8])
+def test_write_subspace_independent_of_cutoff(d_m):
+    dims = (2, d_m)
+    eff = effective_coupling(paper_system(), paper_drive())
+    h = build_rwa_hamiltonian(eff, dims)
+    rho0 = DensityMatrix.basis(dims, (1, 0))
+    jumps = dynamics._jump_operators(dims, [1e4, 1e3], [1e3, 1e2])
+    indices = dynamics._restrict(rho0.matrix, h, jumps)[0]
+    expected = sorted(int(np.ravel_multi_index(level, dims)) for level in ((0, 0), (1, 0), (0, 1)))
+    assert indices.tolist() == expected
+
+
+@pytest.mark.parametrize("n_records", [0, 1, 2, 1001])
+def test_evolve_returns_exactly_n_records(n_records):
+    eff = effective_coupling(paper_system(), paper_drive())
+    dims = (2, 3)
+    h = build_rwa_hamiltonian(eff, dims)
+    rho0 = DensityMatrix.basis(dims, (1, 0))
+    duration = 0.3 / eff.g_eff
+    result = evolve(rho0, h, [1e4, 1e3], duration, n_records=n_records)
+    assert result.snapshots.shape == (n_records, 6, 6)
+    np.testing.assert_array_equal(result.times, np.linspace(0.0, duration, n_records))
+    if n_records:
+        assert np.array_equal(result.snapshots[0], rho0.matrix)
+    # the final state is the state at ``duration`` however many records
+    expected = full_space_records(rho0.matrix, h, dynamics._jump_operators(dims, [1e4, 1e3], [0.0, 0.0]),
+                                  [duration])[0]
+    assert np.max(np.abs(result.final.matrix - expected)) < 1e-10
+    assert result.final.population((1, 0)) < 0.99
+
+
+@pytest.mark.parametrize("n_records", [0, 2, 37, 1001])
+def test_iswap_returns_exactly_n_records(n_records):
+    result = iswap(paper_system(gamma_q=1e4), paper_drive(), n_records=n_records)
+    window = 1.25 / (4.0 * result.g_eff_hz)
+    np.testing.assert_allclose(result.times, np.linspace(0.0, window, n_records), rtol=1e-12)
+    for series in (result.pop_e0, result.pop_g1, result.fidelity):
+        assert series.shape == (n_records,)
+    if n_records:
+        assert result.pop_e0[0] == 1.0 and result.fidelity[0] == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert math.isnan(result.transfer_time)
+    # the state at the gate time does not depend on the record grid
+    reference = iswap(paper_system(gamma_q=1e4), paper_drive(), n_records=5)
+    assert result.populations == pytest.approx(reference.populations, abs=1e-12)
+
+
+def first_maximum_loop(times, values):
+    """Scalar reference: the first local maximum, parabola-refined."""
+    for i in range(1, len(values) - 1):
+        if values[i] >= values[i - 1] and values[i] > values[i + 1]:
+            denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
+            shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
+            return float(times[i] + shift * (times[i + 1] - times[i]))
+    return float(times[int(np.argmax(values))])
+
+
+def test_first_maximum_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 1.0, 201)
+    cases = [np.sin(2.0 * math.pi * times), np.sin(0.5 * math.pi * times),
+             np.cos(2.0 * math.pi * times), np.ones_like(times),
+             np.round(rng.uniform(size=times.size), 1)]
+    for values in cases:
+        assert dynamics._first_maximum(times, values) == first_maximum_loop(times, values)
