@@ -9,7 +9,8 @@ fitting routines, and ``bandgap``/``duffing-sweep``/``backbone``/
 
 Configuration is a single JSON document with unit-suffixed keys (see
 ``CONFIG_SCHEMA``); unknown keys are rejected and validation errors
-carry JSON-pointer paths.  Results go to stdout as JSON; ``--out``
+carry JSON-pointer paths.  Results go to stdout as strict JSON, with
+null for a quantity that is infinite or undefined; ``--out``
 writes the detailed arrays as CSV (or JSON with ``--format json``).
 Exit codes: 0 success, 1 computation or fit failure, 2 usage, IO, or
 configuration error.
@@ -29,7 +30,7 @@ import numpy as np
 import jsonschema
 
 from . import analysis, duffing, dynamics, electromech, losses, phonon_chain
-from .errors import ComputationError, ConfigError, QmemError
+from .errors import ComputationError, ConfigError, NoDefectModeInGap, QmemError
 
 log = logging.getLogger("qmem")
 
@@ -393,9 +394,9 @@ def cmd_qvt(args) -> tuple[dict, list | None]:
             entry[f"sigma_{name}"] = sigma[name]
         channels.append(entry)
     payload = {"channels": channels, "residual_norm": fit.residual_norm}
-    rows = [("T_K", "Q_fit")] + [
-        (t, losses.total_q(fit.stack, args.frequency_hz, t)) for t in data.temperatures
-    ]
+    rows = [("T_K", "Q_fit")] + list(
+        zip(data.temperatures, losses.total_q(fit.stack, args.frequency_hz, data.temperatures))
+    )
     return payload, rows
 
 
@@ -426,6 +427,8 @@ def _duffing_from(config: dict) -> duffing.DuffingParams:
 
 
 def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     config = load_config(args.config)
     params = _duffing_from(config)
     f_start = args.f_start if args.f_start is not None else params.f0 * (1 - 100 / params.Q)
@@ -482,7 +485,7 @@ def cmd_bandgap(args) -> tuple[dict, list | None]:
                 "radiative_Q": mode.radiative_q,
                 "localization_length_m": mode.localization_length,
             }
-        except ComputationError as exc:
+        except NoDefectModeInGap as exc:
             log.info("no defect mode: %s", exc)
     freqs = np.linspace(args.f_min, args.f_max, 2001)
     disp = phonon_chain.dispersion(chain.mirror_cell, freqs)
@@ -551,6 +554,18 @@ def _write_rows(path: str, rows: list, fmt: str) -> None:
 def _csv_cell(value):
     if isinstance(value, (float, np.floating, np.integer)):
         return repr(float(value))
+    return value
+
+
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by None, so that it
+    serializes as strict JSON (null, never Infinity or NaN)."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -650,7 +665,7 @@ def main(argv=None) -> int:
             log.warning("this subcommand has no detailed arrays; --out ignored")
         else:
             _write_rows(args.out, rows, args.format)
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(_strict_json(payload), sys.stdout, indent=2, allow_nan=False)
     print()
     return 0
 

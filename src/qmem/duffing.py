@@ -60,7 +60,9 @@ class BackboneFit:
     residual_norm: float
 
 
-def _cubic_coefficients(p: DuffingParams, f_hz: float):
+def _cubic_coefficients(p: DuffingParams, f_hz):
+    """Coefficients (c3, c2, c1, c0) of the amplitude equation as a cubic in
+    u = a^2, at one frequency or elementwise over an array of them."""
     d = p.f0**2 - f_hz**2
     e = (p.f0 * f_hz / p.Q) ** 2
     return (
@@ -71,19 +73,36 @@ def _cubic_coefficients(p: DuffingParams, f_hz: float):
     )
 
 
-def _real_positive_roots(coeffs) -> list[float]:
-    c3, c2, c1, c0 = coeffs
-    if c3 == 0.0:
-        # linear response: single root of c1*u + c0 = 0
-        u = -c0 / c1
-        return [u] if u > 0.0 else []
-    roots = np.roots([c3, c2, c1, c0])
-    out = []
-    for r in roots:
+def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states at all of ``freqs`` at once: the amplitudes a = sqrt(u)
+    of the real positive roots u of the amplitude cubic, ascending and
+    padded with NaN to shape (n, 3), and the mask of the stable ones (see
+    ``steady_state_amplitudes``).  The cubics are solved as eigenvalues of
+    companion matrices built as ``np.roots`` builds them.  With zero drive
+    the resonator rests at a = 0.
+    """
+    if np.any(freqs <= 0.0):
+        raise ValueError("drive frequency must be positive")
+    c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
+    u = np.full((freqs.size, 3), np.nan)
+    if p.drive == 0.0:
+        u[:, 0] = 0.0
+    elif c3 == 0.0:
+        u[:, 0] = -c0 / c1  # linear response
+    else:
+        companion = np.zeros((freqs.size, 3, 3))
+        companion[:, 0, 0] = -c2 / c3
+        companion[:, 0, 1] = -c1 / c3
+        companion[:, 0, 2] = -c0 / c3
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        r = np.linalg.eigvals(companion)
         # tolerate the measure-zero ambiguity at the discriminant boundary
-        if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0:
-            out.append(float(r.real))
-    return sorted(out)
+        real = (np.abs(r.imag) <= 1e-9 * np.abs(r)) & (r.real > 0.0)
+        u = np.sort(np.where(real, r.real, np.nan), axis=1)  # NaN sorts last
+    d = (p.f0**2 - freqs**2)[:, None]
+    e = ((p.f0 * freqs / p.Q) ** 2)[:, None]
+    slope = (d + 0.75 * p.beta * u) * (d + 2.25 * p.beta * u) + e
+    return np.sqrt(u), slope > 0.0
 
 
 def steady_state_amplitudes(p: DuffingParams, f_hz: float) -> list[tuple[float, bool]]:
@@ -93,18 +112,13 @@ def steady_state_amplitudes(p: DuffingParams, f_hz: float) -> list[tuple[float, 
     Stability follows the slope criterion: a root u = a^2 is stable when
     d(F^2)/du > 0 along the response curve.
     """
-    if f_hz <= 0.0:
-        raise ValueError("drive frequency must be positive")
-    d = p.f0**2 - f_hz**2
-    e = (p.f0 * f_hz / p.Q) ** 2
-    out = []
-    for u in _real_positive_roots(_cubic_coefficients(p, f_hz)):
-        slope = (d + 0.75 * p.beta * u) * (d + 2.25 * p.beta * u) + e
-        out.append((math.sqrt(u), slope > 0.0))
-    return out
+    amps, stable = _steady_states(p, np.array([float(f_hz)]))
+    return [
+        (float(a), bool(ok)) for a, ok in zip(amps[0], stable[0]) if not math.isnan(a)
+    ]
 
 
-def _cubic_discriminant(coeffs) -> float:
+def _cubic_discriminant(coeffs):
     a, b, c, d = coeffs
     return (
         18.0 * a * b * c * d
@@ -121,8 +135,7 @@ def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float, n_scan: int = 20
     if p.beta == 0.0 or p.drive == 0.0:
         return None
     freqs = np.linspace(f_lo, f_hi, n_scan)
-    disc = np.array([_cubic_discriminant(_cubic_coefficients(p, f)) for f in freqs])
-    positive = disc > 0.0
+    positive = _cubic_discriminant(_cubic_coefficients(p, freqs)) > 0.0
     if not np.any(positive):
         return None
 
@@ -157,33 +170,35 @@ def sweep(
         raise ValueError("direction must be 'forward' or 'backward'")
     f_lo, f_hi = min(f_start, f_end), max(f_start, f_end)
     freqs = np.linspace(f_lo, f_hi, n_points)
-    order = freqs if direction == "forward" else freqs[::-1]
+    states, stable = _steady_states(p, freqs)
+    # the response rides the lowest or the highest stable state (the middle
+    # of three is unstable); every state counts if none is stable
+    keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
+    lower = np.where(keep, states, np.inf).min(axis=1).tolist()
+    upper = np.where(keep, states, -np.inf).max(axis=1).tolist()
+    if direction == "backward":
+        lower.reverse()
+        upper.reverse()
 
-    amps = np.empty(n_points)
+    # entering from outside the window: the connected branch is the one a
+    # sweep from far away would ride in on
+    on_upper = (direction == "forward") == (p.beta > 0.0)
+    amps: list[float] = []
     labels: list[str] = []
-    previous = None
-    for i, f in enumerate(order):
-        stable = [a for a, ok in steady_state_amplitudes(p, f) if ok]
-        if not stable:
-            stable = [a for a, _ in steady_state_amplitudes(p, f)]
-        if previous is None:
-            # entering from outside the window: the connected branch is the
-            # one a sweep from far away would ride in on
-            rising = direction == "forward"
-            entering_high = rising == (p.beta > 0.0)
-            a = max(stable) if entering_high else min(stable)
-        else:
-            a = min(stable, key=lambda s: abs(s - previous))
-        previous = a
-        amps[i] = a
-        labels.append("upper" if a == max(stable) else "lower")
+    for low, high in zip(lower, upper):
+        if amps:
+            # stay on the branch nearest the previous amplitude
+            on_upper = abs(high - amps[-1]) < abs(low - amps[-1])
+        a = high if on_upper else low
+        amps.append(a)
+        labels.append("upper" if a == high else "lower")
 
     if direction == "backward":
-        amps = amps[::-1]
-        labels = labels[::-1]
+        amps.reverse()
+        labels.reverse()
     return SweepResult(
         frequencies=freqs,
-        amplitudes=amps,
+        amplitudes=np.array(amps),
         branch_labels=tuple(labels),
         bistable_range=_bistable_range(p, f_lo, f_hi),
     )

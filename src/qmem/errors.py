@@ -38,6 +38,10 @@ class NoDefectModeInGap(ComputationError):
     """No localized mode found inside the requested band gap."""
 
 
+class LinewidthNotResolved(ComputationError):
+    """Resonance too narrow for the half-maximum search to resolve."""
+
+
 class DegenerateModes(QmemError):
     """Mode detunings too small for the perturbative dressing to apply."""
 

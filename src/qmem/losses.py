@@ -44,7 +44,7 @@ class ZenerChannel:
         if self.activation_temp < 0.0:
             raise ValueError("activation_temp must be >= 0")
 
-    def q_inverse(self, f_hz: float, temperature_k: float) -> float:
+    def q_inverse(self, f_hz: float, temperature_k: float | np.ndarray):
         return zener_q_inverse(self, f_hz, temperature_k)
 
 
@@ -59,7 +59,7 @@ class PowerLawChannel:
         if self.coefficient <= 0.0:
             raise ValueError("coefficient must be positive")
 
-    def q_inverse(self, f_hz: float, temperature_k: float) -> float:
+    def q_inverse(self, f_hz: float, temperature_k: float | np.ndarray):
         return landau_rumer_q_inverse(self, temperature_k)
 
 
@@ -93,41 +93,57 @@ class LossStack:
         object.__setattr__(self, "channels", channels)
 
 
-def zener_q_inverse(channel: ZenerChannel, f_hz: float, temperature_k: float) -> float:
+def zener_q_inverse(
+    channel: ZenerChannel, f_hz: float, temperature_k: float | np.ndarray
+) -> float | np.ndarray:
     """Zener relaxation loss Delta*omega*tau/(1 + (omega*tau)^2).
 
     Evaluated as Delta/(2*cosh(ln(omega*tau))) which keeps full precision
-    on both sides of the Debye peak and cannot overflow.
+    on both sides of the Debye peak and cannot overflow.  ``temperature_k``
+    is a float or an array of temperatures; the result has the same form.
     """
-    if temperature_k < 0.0:
+    t = np.asarray(temperature_k, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("temperature must be >= 0")
     log_wt0 = math.log(angular(f_hz) * channel.tau0)
-    if temperature_k == 0.0:
-        if channel.activation_temp > 0.0:
-            return 0.0  # tau diverges, omega*tau -> inf
-        x = log_wt0
+    if channel.activation_temp > 0.0:
+        with np.errstate(divide="ignore"):
+            x = log_wt0 + channel.activation_temp / t  # T = 0: tau diverges, x = inf
     else:
-        x = log_wt0 + channel.activation_temp / temperature_k
-    if abs(x) > 300.0:
-        return channel.delta * math.exp(-abs(x))
-    return channel.delta / (2.0 * math.cosh(x))
+        x = np.full(t.shape, log_wt0)
+    ax = np.abs(x)
+    q_inv = np.where(
+        ax > 300.0,
+        channel.delta * np.exp(-ax),
+        # clipped, because np.where evaluates both branches
+        channel.delta / (2.0 * np.cosh(np.minimum(ax, 300.0))),
+    )
+    return q_inv if t.ndim else float(q_inv)
 
 
-def landau_rumer_q_inverse(channel: PowerLawChannel, temperature_k: float) -> float:
-    """Power-law loss B*T**n; zero at T = 0."""
-    if temperature_k < 0.0:
+def landau_rumer_q_inverse(
+    channel: PowerLawChannel, temperature_k: float | np.ndarray
+) -> float | np.ndarray:
+    """Power-law loss B*T**n; zero at T = 0.  ``temperature_k`` is a float
+    or an array of temperatures; the result has the same form."""
+    t = np.asarray(temperature_k, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("temperature must be >= 0")
-    if temperature_k == 0.0:
-        return 0.0
-    return channel.coefficient * temperature_k**channel.exponent
+    q_inv = np.where(t > 0.0, channel.coefficient * t**channel.exponent, 0.0)
+    return q_inv if t.ndim else float(q_inv)
 
 
-def total_q_inverse(stack: LossStack, f_hz: float, temperature_k: float) -> float:
-    """Summed inverse quality factor of all channels."""
+def total_q_inverse(
+    stack: LossStack, f_hz: float, temperature_k: float | np.ndarray
+) -> float | np.ndarray:
+    """Summed inverse quality factor of all channels, at one temperature or
+    elementwise over an array of them."""
     return sum(ch.q_inverse(f_hz, temperature_k) for ch in stack.channels)
 
 
-def total_q(stack: LossStack, f_hz: float, temperature_k: float) -> float:
+def total_q(
+    stack: LossStack, f_hz: float, temperature_k: float | np.ndarray
+) -> float | np.ndarray:
     """Total quality factor Q = (sum_i Q_i^-1)^-1."""
     return 1.0 / total_q_inverse(stack, f_hz, temperature_k)
 
@@ -251,9 +267,7 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
 
     def residuals(theta):
         stack = _unpack(template, names, theta)
-        model = np.array([
-            total_q_inverse(stack, f_hz, t) for t in data.temperatures
-        ])
+        model = total_q_inverse(stack, f_hz, data.temperatures)
         return (np.log(model) - log_qinv_data) / sigma_log
 
     result = least_squares(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import angular
-from .errors import NoDefectModeInGap
+from .errors import LinewidthNotResolved, NoDefectModeInGap
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,9 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap, n_scan: int = 4001) -> Defe
     the transmission full width at half maximum, and the localization
     length a/(kappa*a) follows from the mirror-cell Bloch decay constant
     at the mode frequency.  Raises ``NoDefectModeInGap`` when the gap
-    holds no resonance (peak transmission below 10x the mid-gap floor).
+    holds no resonance (peak transmission below 10x the mid-gap floor),
+    and ``LinewidthNotResolved`` when the line is narrower than the
+    1e-3 Hz resolution of the half-maximum search.
     """
     segments = _chain_segments(chain)
     width = gap.f_high - gap.f_low
@@ -327,11 +329,21 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap, n_scan: int = 4001) -> Defe
             return f_out
         return brentq(lambda f: abs(h_at(f)) - 2.0, f_seed, f_out, xtol=1e-3)
 
-    f_half_lo = bracket(-1)
-    f_half_hi = bracket(+1)
+    try:
+        f_half_lo = bracket(-1)
+        f_half_hi = bracket(+1)
+    except ValueError:
+        # no brentq bracket: |h| is above the half-maximum level already at
+        # the seed, which is placed only to 1e-3 Hz
+        f_half_lo = f_half_hi = f_seed
+    fwhm = f_half_hi - f_half_lo
+    if fwhm <= 0.0:
+        raise LinewidthNotResolved(
+            f"defect-mode linewidth at {f_seed:.6g} Hz is below the 1e-3 Hz "
+            "resolution of the half-maximum search"
+        )
     f_mode = _golden_section_max(t2_at, f_half_lo, f_half_hi, tol=1.0)
 
-    fwhm = f_half_hi - f_half_lo
     radiative_q = f_mode / fwhm
     kappa_a = bloch_decay_per_cell(chain.mirror_cell, f_mode)
     if kappa_a <= 0.0:

@@ -192,6 +192,63 @@ def test_duffing_sweep_and_backbone(capsys, tmp_path, data_dir):
     assert payload["n"] == pytest.approx(2.0, abs=0.1)
 
 
+def test_duffing_sweep_undriven_reference_config(capsys, data_dir, tmp_path):
+    # the reference config has drive_m_Hz2 = 0: the resonator rests
+    out_csv = tmp_path / "sweep.csv"
+    payload = run_json(
+        capsys, "duffing-sweep", "--config", str(data_dir / "reference_config.json"),
+        "--points", "11", "--out", str(out_csv),
+    )
+    assert payload["bistable_range_Hz"] is None
+    assert payload["peak_amplitude"] == 0.0
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 11
+    assert all(float(amp) == 0.0 for _, amp, _ in rows)
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_duffing_sweep_rejects_empty_sweep(capsys, data_dir, points):
+    code, out, err = run_cli(
+        capsys, "duffing-sweep", "--config", str(data_dir / "reference_config.json"),
+        "--points", points,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--points" in err and len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_couple_without_three_wave_mixing_is_strict_json(capsys, tmp_path, data_dir):
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["system"]["g3_Hz"] = 0
+    path = tmp_path / "g3_zero.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "couple", "--config", str(path))
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["g_eff_Hz"] == 0.0
+    assert payload["T_transfer_s"] is None
+    assert payload["T_iswap_s"] is None
+
+
+@pytest.mark.parametrize("cells", [15, 17])
+def test_bandgap_unresolved_linewidth_exits_one(capsys, tmp_path, cells):
+    # strong mirrors: at 15 cells the half-maximum edges collapse onto the
+    # resonance, from 17 cells they no longer bracket it
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(
+        {"chain": {"strong_mirrors": True, "mirror_cells_per_side": cells}}
+    ))
+    code, out, err = run_cli(capsys, "bandgap", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert "linewidth" in err and len(err.strip().splitlines()) == 1
+
+
 def test_bandgap_defaults(capsys):
     payload = run_json(capsys, "bandgap")
     (gap,) = payload["gaps_Hz"]

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmem.duffing import (
     BackboneFit,
     DuffingParams,
+    _auto_window,
+    _cubic_coefficients,
+    _steady_states,
     backbone,
     fit_backbone,
     steady_state_amplitudes,
@@ -208,3 +213,92 @@ def test_params_validation():
         DuffingParams(f0=-1.0, Q=10.0, beta=0.0, drive=0.0)
     with pytest.raises(ValueError):
         sweep(linear_params(), 9e7, 1e8, "sideways")
+
+
+def test_undriven_sweep_rests_at_zero():
+    p = stiff_params(0.0)
+    assert steady_state_amplitudes(p, F0) == [(0.0, True)]
+    for direction in ("forward", "backward"):
+        result = sweep(p, F0 * (1 - 10 / Q), F0 * (1 + 10 / Q), direction, n_points=51)
+        assert np.all(result.amplitudes == 0.0)
+        assert result.bistable_range is None
+
+
+@st.composite
+def driven_params(draw):
+    """Stiffening or softening resonators driven below or well above the
+    onset of bistability.  Drives just above the onset, where the bistable
+    range is narrower than the discriminant scan, are left out."""
+    f0 = draw(st.floats(50e6, 200e6))
+    q = draw(st.floats(1e3, 1e5))
+    beta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e20, 1e22))
+    onset = math.sqrt(32.0 * (f0**2 / q) ** 3 / (9.0 * math.sqrt(3.0) * abs(beta)))
+    factor = draw(st.one_of(st.floats(0.05, 0.8), st.floats(1.5, 10.0)))
+    return DuffingParams(f0=f0, Q=q, beta=beta, drive=factor * onset)
+
+
+def _window(p, data):
+    """A sub-window of the automatic backbone window."""
+    lo, hi = _auto_window(p)
+    a, b = sorted(data.draw(st.tuples(st.floats(0.0, 0.4), st.floats(0.6, 1.0))))
+    return lo + a * (hi - lo), lo + b * (hi - lo)
+
+
+def _roots_reference(p, freqs):
+    """Per-point ``np.roots`` on the same coefficients: the real positive
+    roots as ascending amplitudes padded with NaN, and their stability."""
+    c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
+    amps = np.full((freqs.size, 3), np.nan)
+    stable = np.zeros((freqs.size, 3), dtype=bool)
+    for i, f in enumerate(freqs):
+        roots = sorted(
+            r.real for r in np.roots([c3, c2[i], c1[i], c0])
+            if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0
+        )
+        d = p.f0**2 - f**2
+        e = (p.f0 * f / p.Q) ** 2
+        for j, u in enumerate(roots):
+            amps[i, j] = math.sqrt(u)
+            stable[i, j] = (d + 0.75 * p.beta * u) * (d + 2.25 * p.beta * u) + e > 0.0
+    return amps, stable
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=driven_params(), data=st.data())
+def test_batched_roots_match_per_point_reference(p, data):
+    freqs = np.linspace(*_window(p, data), 101)
+    amps, stable = _steady_states(p, freqs)
+    ref_amps, ref_stable = _roots_reference(p, freqs)
+    np.testing.assert_array_equal(amps, ref_amps)
+    np.testing.assert_array_equal(stable, ref_stable)
+    # root count is 1 or 3
+    assert set(np.sum(~np.isnan(amps), axis=1)) <= {1, 3}
+
+
+def _amplitude_residual(p, f, a):
+    lhs = a**2 * ((p.f0**2 - f**2 + 0.75 * p.beta * a**2) ** 2 + (p.f0 * f / p.Q) ** 2)
+    return np.abs(lhs - p.drive**2) / p.drive**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=driven_params(), data=st.data())
+def test_sweep_properties(p, data):
+    lo, hi = _window(p, data)
+    fwd = sweep(p, lo, hi, "forward", n_points=401)
+    bwd = sweep(p, lo, hi, "backward", n_points=401)
+    roots, stable = _steady_states(p, fwd.frequencies)
+    has_stable = stable.any(axis=1)
+    for result in (fwd, bwd):
+        # every swept amplitude solves the amplitude equation
+        assert np.max(_amplitude_residual(p, result.frequencies, result.amplitudes)) <= 1e-8
+        # and is a stable root wherever a stable root exists
+        chosen = roots == result.amplitudes[:, None]
+        assert np.all(chosen.any(axis=1))
+        assert np.all((chosen & stable).any(axis=1)[has_stable])
+    # the sweep directions agree outside the bistable range
+    outside = np.ones(fwd.frequencies.size, dtype=bool)
+    if fwd.bistable_range is not None:
+        edge_lo, edge_hi = fwd.bistable_range
+        margin = 2e-6 * p.f0  # the edges are refined to 1e-6 f0
+        outside = (fwd.frequencies < edge_lo - margin) | (fwd.frequencies > edge_hi + margin)
+    np.testing.assert_array_equal(fwd.amplitudes[outside], bwd.amplitudes[outside])

@@ -14,6 +14,7 @@ from qmem.losses import (
     fit_loss_stack,
     landau_rumer_q_inverse,
     total_q,
+    total_q_inverse,
     zener_q_inverse,
 )
 
@@ -52,6 +53,51 @@ def test_landau_rumer_power_law():
     assert landau_rumer_q_inverse(ch, 0.0) == 0.0
     ratio = landau_rumer_q_inverse(ch, 20.0) / landau_rumer_q_inverse(ch, 10.0)
     assert ratio == pytest.approx(16.0, rel=1e-12)
+
+
+def _scalar_q_inverse(stack, f_hz, temperature_k):
+    """One-temperature reference: the channel formulas evaluated with
+    ``math`` on Python floats."""
+    total = 0.0
+    for ch in stack.channels:
+        if isinstance(ch, ZenerChannel):
+            log_wt0 = math.log(angular(f_hz) * ch.tau0)
+            if temperature_k == 0.0:
+                if ch.activation_temp > 0.0:
+                    continue
+                x = log_wt0
+            else:
+                x = log_wt0 + ch.activation_temp / temperature_k
+            if abs(x) > 300.0:
+                total += ch.delta * math.exp(-abs(x))
+            else:
+                total += ch.delta / (2.0 * math.cosh(x))
+        elif isinstance(ch, PowerLawChannel):
+            if temperature_k > 0.0:
+                total += ch.coefficient * temperature_k**ch.exponent
+        else:
+            total += 1.0 / ch.q_value
+    return total
+
+
+@pytest.mark.parametrize("activation_temp", [0.0, 150.0, 5000.0])
+def test_total_q_inverse_over_array_matches_scalar_reference(activation_temp):
+    f = 1e8
+    stack = LossStack((
+        peaked_zener(f, 40.0, delta=4e-5, activation_temp=activation_temp),
+        ZenerChannel(delta=1e-4, tau0=1e-12, activation_temp=activation_temp),
+        PowerLawChannel(coefficient=2e-10, exponent=3.7),
+        ConstantChannel(1.2e6),
+    ))
+    temps = np.concatenate(([0.0, 1e-3, 0.5], np.geomspace(1.0, 1e4, 60)))
+    values = total_q_inverse(stack, f, temps)
+    assert values.shape == temps.shape
+    for t, value in zip(temps, values):
+        reference = _scalar_q_inverse(stack, f, float(t))
+        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+        assert total_q_inverse(stack, f, float(t)) == value
+    with pytest.raises(ValueError):
+        total_q_inverse(stack, f, np.array([4.0, -1.0]))
 
 
 def test_total_q_parallel_constants():
