@@ -9,7 +9,6 @@ it.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import FrequencyTrace, TimeTrace, angular
+from .core import FrequencyTrace, TimeTrace, angular, read_csv_table
 from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
@@ -218,47 +217,12 @@ def q_tau_consistency(quality_factor: float, f_hz: float, tau_s: float) -> float
 
 def load_frequency_trace_csv(path) -> FrequencyTrace:
     """Read a frequency trace from CSV, ``f_Hz,mag`` or ``f_Hz,re,im``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        cols = [h.strip() for h in header]
-        if cols == ["f_Hz", "mag"]:
-            complex_input = False
-        elif cols == ["f_Hz", "re", "im"]:
-            complex_input = True
-        else:
-            raise ValueError(f"{path}: expected header 'f_Hz,mag' or 'f_Hz,re,im'")
-        freqs, resp = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                freqs.append(float(row[0]))
-                if complex_input:
-                    resp.append(complex(float(row[1]), float(row[2])))
-                else:
-                    resp.append(complex(float(row[1]), 0.0))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: bad row at line {lineno}: {row}") from exc
-    return FrequencyTrace(np.array(freqs), np.array(resp))
+    cols, table = read_csv_table(path, (("f_Hz", "mag"), ("f_Hz", "re", "im")))
+    imag = table[:, 2] if len(cols) == 3 else 0.0
+    return FrequencyTrace(table[:, 0], table[:, 1] + 1j * imag)
 
 
 def load_time_trace_csv(path) -> TimeTrace:
     """Read a time trace from CSV with header ``t_s,amp``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_s", "amp"]:
-            raise ValueError(f"{path}: expected header 't_s,amp'")
-        times, amps = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                amps.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: bad row at line {lineno}: {row}") from exc
-    return TimeTrace(np.array(times), np.array(amps))
+    _, table = read_csv_table(path, (("t_s", "amp"),))
+    return TimeTrace(table[:, 0], table[:, 1])

@@ -574,8 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmem",
         description="Phononic-crystal acoustic quantum memory design toolkit",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed reserved for stochastic fit restarts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,39 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
     n_th = thermal_occupation(f_hz, temperature_k)
     gamma = angular(f_hz) / quality_factor
     return 1.0 / ((n_th + 1.0) * gamma)
+
+
+def read_csv_table(path, headers) -> tuple[tuple[str, ...], np.ndarray]:
+    """Numeric rows of a CSV file whose header is one of ``headers``.
+
+    Returns the header found and an (n, k) array of its k columns; blank
+    lines are skipped.  A missing or unexpected header, a short or
+    non-numeric row, a non-finite value and a file without data rows each
+    raise ValueError naming the file, and the line where there is one.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        cols = tuple(h.strip() for h in header)
+        if cols not in headers:
+            expected = " or ".join(f"'{','.join(h)}'" for h in headers)
+            raise ValueError(f"{path}: expected header {expected}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                values = [float(row[j]) for j in range(len(cols))]
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}: bad row at line {lineno}: {row}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at line {lineno}: {row}")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return cols, np.array(rows)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .errors import FitDidNotConverge
+from .errors import FitDidNotConverge, NoBackbonePeak
 
 
 @dataclass(frozen=True)
@@ -204,34 +204,39 @@ def sweep(
     )
 
 
-def _auto_window(p: DuffingParams) -> tuple[float, float]:
-    a_lin = p.drive * p.Q / p.f0**2
-    pull = 0.75 * abs(p.beta) * a_lin**2 / p.f0
-    width = 10.0 * p.f0 / p.Q + 2.0 * pull
-    if p.beta >= 0.0:
-        return p.f0 - width, p.f0 + pull + width
-    return p.f0 - pull - width, p.f0 + width
-
-
 def backbone(p: DuffingParams, drive_levels) -> list[tuple[float, float]]:
-    """Peak (amplitude, frequency) of the forward sweep per drive level.
+    """Peak (amplitude, frequency) of the response curve per drive level.
 
-    For a stiffening resonator the forward-sweep maximum tracks the
-    jump-down point, whose locus versus drive is the backbone curve
-    f_peak^2 = f0^2 + (3/4)*beta*a_peak^2, i.e. a shift of about
-    3*beta*a_peak^2/(8*f0).
+    The peak is the backbone point, in closed form for either sign of
+    beta.  Tangency in f of the amplitude equation gives
+    f0^2 - f^2 + (3/4)*beta*u = c with c = f0^2/(2*Q^2) and u = a^2, so
+    the locus is f^2 = f0^2 + (3/4)*beta*a^2 - c.  Substituting gives
+    M*u^2 + K*u - F^2 = 0 with K = c^2 + (f0/Q)^2*(f0^2 - c) and
+    M = (3/4)*beta*(f0/Q)^2, one quadratic per level; the root taken is
+    the one connected to the linear response u = F^2/K.  For beta > 0 the
+    peak is the maximum of a forward sweep, just before its jump-down.
+    For beta < 0 it is the maximum of a backward sweep; a forward sweep
+    jumps up past it.  Raises ``NoBackbonePeak`` when the curve has no
+    real peak at some level.
     """
     levels = [float(v) for v in drive_levels]
     if len(levels) < 3:
         raise ValueError("need at least 3 drive levels")
-    points = []
     for level in levels:
-        pl = DuffingParams(f0=p.f0, Q=p.Q, beta=p.beta, drive=level)
-        lo, hi = _auto_window(pl)
-        result = sweep(pl, lo, hi, "forward", n_points=4001)
-        i = int(np.argmax(result.amplitudes))
-        points.append((float(result.amplitudes[i]), float(result.frequencies[i])))
-    return points
+        DuffingParams(f0=p.f0, Q=p.Q, beta=p.beta, drive=level)  # validates the level
+    drive_sq = np.square(levels)
+    c = p.f0**2 / (2.0 * p.Q**2)
+    k = c * c + (p.f0 / p.Q) ** 2 * (p.f0**2 - c)
+    m = 0.75 * p.beta * (p.f0 / p.Q) ** 2
+    disc = k * k + 4.0 * m * drive_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 2.0 * drive_sq / (k + np.sqrt(disc))
+    f_sq = p.f0**2 + 0.75 * p.beta * u - c
+    real = f_sq > 0.0  # NaN, so False, where the quadratic has no real root
+    if not real.all():
+        level = levels[int(np.argmin(real))]
+        raise NoBackbonePeak(f"Duffing response has no real peak at drive {level:g}")
+    return list(zip(np.sqrt(u).tolist(), np.sqrt(f_sq).tolist()))
 
 
 def fit_backbone(points) -> BackboneFit:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import TWO_PI, FrequencyTrace, angular
+from .core import TWO_PI, FrequencyTrace, angular, read_csv_table
 from .errors import FitDidNotConverge, ResonanceNotInWindow
 
 
@@ -296,18 +296,5 @@ def save_admittance_csv(path, trace: FrequencyTrace) -> None:
 
 def load_admittance_csv(path) -> FrequencyTrace:
     """Read an admittance trace from CSV with header ``f_Hz,ReY_S,ImY_S``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["f_Hz", "ReY_S", "ImY_S"]:
-            raise ValueError(f"{path}: expected header 'f_Hz,ReY_S,ImY_S'")
-        freqs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                freqs.append(float(row[0]))
-                ys.append(complex(float(row[1]), float(row[2])))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: bad row at line {lineno}: {row}") from exc
-    return FrequencyTrace(np.array(freqs), np.array(ys))
+    _, table = read_csv_table(path, (("f_Hz", "ReY_S", "ImY_S"),))
+    return FrequencyTrace(table[:, 0], table[:, 1] + 1j * table[:, 2])

@@ -42,6 +42,10 @@ class LinewidthNotResolved(ComputationError):
     """Resonance too narrow for the half-maximum search to resolve."""
 
 
+class NoBackbonePeak(ComputationError):
+    """Duffing response curve has no real peak at the requested drive."""
+
+
 class DegenerateModes(QmemError):
     """Mode detunings too small for the perturbative dressing to apply."""
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import angular
+from .core import angular, read_csv_table
 from .errors import DegenerateJacobian, FitDidNotConverge
 
 
@@ -176,21 +176,8 @@ class QvsTDataset:
     @classmethod
     def from_csv(cls, path) -> "QvsTDataset":
         """Read a dataset from CSV with header ``T_K,Q,sigma_Q``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["T_K", "Q", "sigma_Q"]:
-                raise ValueError(f"{path}: expected header 'T_K,Q,sigma_Q'")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append((float(row[0]), float(row[1]), float(row[2])))
-                except (IndexError, ValueError) as exc:
-                    raise ValueError(f"{path}: bad row at line {lineno}: {row}") from exc
-        t, q, s = (np.array(col) for col in zip(*rows))
-        return cls(t, q, s)
+        _, table = read_csv_table(path, (("T_K", "Q", "sigma_Q"),))
+        return cls(*table.T)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -230,11 +217,12 @@ def _pack(stack: LossStack):
 
 
 def _unpack(stack: LossStack, names, theta) -> LossStack:
-    channels = list(stack.channels)
+    """The stack with the packed parameters ``theta``: one constructor call
+    per channel, since every channel field is a fitted parameter."""
+    fields: list[dict] = [{} for _ in stack.channels]
     for (idx, attr, kind), value in zip(names, theta):
-        v = math.exp(value) if kind == "log" else float(value)
-        channels[idx] = replace(channels[idx], **{attr: v})
-    return LossStack(tuple(channels))
+        fields[idx][attr] = math.exp(value) if kind == "log" else float(value)
+    return LossStack(tuple(type(ch)(**kw) for ch, kw in zip(stack.channels, fields)))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,20 @@ def test_duffing_sweep_and_backbone(capsys, tmp_path, data_dir):
     assert payload["n"] == pytest.approx(2.0, abs=0.1)
 
 
+def test_backbone_without_real_peak_exits_one(capsys, tmp_path, data_dir):
+    # an overdamped resonator's response peaks at f = 0
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["duffing"]["Q"] = 0.6
+    path = tmp_path / "overdamped.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, "backbone", "--config", str(path), "--drive-levels", "1e8,2e8,3e8,4e8",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "no real peak" in err
+
+
 def test_duffing_sweep_undriven_reference_config(capsys, data_dir, tmp_path):
     # the reference config has drive_m_Hz2 = 0: the resonator rests
     out_csv = tmp_path / "sweep.csv"
@@ -276,6 +290,49 @@ def test_missing_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "bvd-fit", "/nonexistent/file.csv")
     assert code == 2
     assert err
+
+
+def test_qvt_header_only_file_exits_two(capsys, tmp_path, data_dir):
+    path = tmp_path / "empty_qvt.csv"
+    path.write_text("T_K,Q,sigma_Q\n")
+    code, out, err = run_cli(
+        capsys, "qvt", str(path), "--config", str(data_dir / "reference_config.json"),
+        "--frequency-hz", "97.2e6",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(path) in err and "no data rows" in err
+
+
+# one subcommand per CSV loader, with its header and a valid row
+LOADERS = [
+    (["fit-lorentzian"], "f_Hz,mag", "9.7e7,1.0"),
+    (["ringdown"], "t_s,amp", "0.0,1.0"),
+    (["bvd-fit"], "f_Hz,ReY_S,ImY_S", "9.7e7,1e-3,2e-3"),
+    (["qvt", "--config", CONFIG, "--frequency-hz", "97.2e6"], "T_K,Q,sigma_Q", "4.0,1e6,1e4"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, header, row", LOADERS)
+def test_loaders_reject_non_finite_values(capsys, tmp_path, argv, header, row, bad):
+    cells = row.split(",")
+    cells[-1] = bad
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{header}\n{row}\n{','.join(cells)}\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(path) in err and "non-finite value at line 3" in err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed=1", "couple", "--config", CONFIG])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_fit_failure_exits_one(capsys, tmp_path):

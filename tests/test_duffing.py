@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qmem.duffing import (
     BackboneFit,
     DuffingParams,
-    _auto_window,
     _cubic_coefficients,
     _steady_states,
     backbone,
@@ -16,7 +15,7 @@ from qmem.duffing import (
     steady_state_amplitudes,
     sweep,
 )
-from qmem.errors import FitDidNotConverge
+from qmem.errors import FitDidNotConverge, NoBackbonePeak
 
 F0, Q = 97.2e6, 1e4
 
@@ -224,22 +223,37 @@ def test_undriven_sweep_rests_at_zero():
         assert result.bistable_range is None
 
 
+def _onset(f0, q, beta):
+    """Drive at the onset of bistability."""
+    return math.sqrt(32.0 * (f0**2 / q) ** 3 / (9.0 * math.sqrt(3.0) * abs(beta)))
+
+
 @st.composite
-def driven_params(draw):
-    """Stiffening or softening resonators driven below or well above the
-    onset of bistability.  Drives just above the onset, where the bistable
-    range is narrower than the discriminant scan, are left out."""
+def driven_params(draw, factors=st.one_of(st.floats(0.05, 0.8), st.floats(1.5, 10.0))):
+    """Stiffening or softening resonators driven at ``factors`` times the
+    onset of bistability: by default below or well above it.  Drives just
+    above the onset, where the bistable range is narrower than the
+    discriminant scan, are left out."""
     f0 = draw(st.floats(50e6, 200e6))
     q = draw(st.floats(1e3, 1e5))
     beta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e20, 1e22))
-    onset = math.sqrt(32.0 * (f0**2 / q) ** 3 / (9.0 * math.sqrt(3.0) * abs(beta)))
-    factor = draw(st.one_of(st.floats(0.05, 0.8), st.floats(1.5, 10.0)))
-    return DuffingParams(f0=f0, Q=q, beta=beta, drive=factor * onset)
+    return DuffingParams(f0=f0, Q=q, beta=beta, drive=draw(factors) * _onset(f0, q, beta))
+
+
+def _response_window(p):
+    """Ten linewidths around the response, widened by the pull of the
+    linear-response amplitude a = F*Q/f0^2."""
+    a_lin = p.drive * p.Q / p.f0**2
+    pull = 0.75 * abs(p.beta) * a_lin**2 / p.f0
+    width = 10.0 * p.f0 / p.Q + 2.0 * pull
+    if p.beta >= 0.0:
+        return p.f0 - width, p.f0 + pull + width
+    return p.f0 - pull - width, p.f0 + width
 
 
 def _window(p, data):
-    """A sub-window of the automatic backbone window."""
-    lo, hi = _auto_window(p)
+    """A sub-window of the response window."""
+    lo, hi = _response_window(p)
     a, b = sorted(data.draw(st.tuples(st.floats(0.0, 0.4), st.floats(0.6, 1.0))))
     return lo + a * (hi - lo), lo + b * (hi - lo)
 
@@ -302,3 +316,46 @@ def test_sweep_properties(p, data):
         margin = 2e-6 * p.f0  # the edges are refined to 1e-6 f0
         outside = (fwd.frequencies < edge_lo - margin) | (fwd.frequencies > edge_hi + margin)
     np.testing.assert_array_equal(fwd.amplitudes[outside], bwd.amplitudes[outside])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=driven_params(factors=st.just(1.0)),
+    factors=st.lists(st.floats(1.5, 10.0), min_size=3, max_size=3),
+)
+def test_backbone_properties(p, factors):
+    points = backbone(p, [s * p.drive for s in factors])
+    # the upper branch: a forward sweep rides it for stiffening, a backward
+    # sweep for softening
+    direction = "forward" if p.beta > 0.0 else "backward"
+    for s, (a, f) in zip(factors, points):
+        pl = DuffingParams(f0=p.f0, Q=p.Q, beta=p.beta, drive=s * p.drive)
+        assert _amplitude_residual(pl, f, a) <= 1e-10
+        # on the locus f^2 = f0^2 + (3/4) beta a^2 - f0^2/(2 Q^2)
+        locus = p.f0**2 + 0.75 * p.beta * a**2 - p.f0**2 / (2.0 * p.Q**2)
+        assert f**2 == pytest.approx(locus, rel=1e-12)
+        # no sampled amplitude of a dense sweep exceeds the peak, and the
+        # sampled maximum lies within one grid step of it
+        result = sweep(pl, *_response_window(pl), direction, n_points=10001)
+        i = int(np.argmax(result.amplitudes))
+        assert result.amplitudes[i] <= a * (1.0 + 1e-12)
+        step = result.frequencies[1] - result.frequencies[0]
+        assert abs(result.frequencies[i] - f) <= step
+
+
+def test_backbone_without_real_peak_raises():
+    # overdamped: the linear response peaks at f = 0
+    overdamped = DuffingParams(f0=F0, Q=0.6, beta=0.0, drive=0.0)
+    with pytest.raises(NoBackbonePeak):
+        backbone(overdamped, [1e8, 2e8, 3e8])
+    # softening far above the onset: the response bends over before it peaks
+    soft = DuffingParams(f0=F0, Q=1e3, beta=-2e21, drive=0.0)
+    onset = _onset(soft.f0, soft.Q, soft.beta)
+    assert len(backbone(soft, [2.0 * onset, 4.0 * onset, 6.0 * onset])) == 3
+    with pytest.raises(NoBackbonePeak):
+        backbone(soft, [2.0 * onset, 4.0 * onset, 20.0 * onset])
+
+
+def test_backbone_rejects_negative_drive():
+    with pytest.raises(ValueError, match="drive"):
+        backbone(stiff_params(1.0), [1e8, -1e8, 2e8])

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qmem.core import angular
+from qmem import losses
 from qmem.errors import DegenerateJacobian
 from qmem.losses import (
     ConstantChannel,
@@ -234,3 +236,37 @@ def test_dataset_validation_and_csv(tmp_path):
     bad.write_text("T,Q,s\n1,2,3\n")
     with pytest.raises(ValueError):
         QvsTDataset.from_csv(bad)
+
+
+def _unpack_reference(stack, names, theta):
+    """Per-parameter ``dataclasses.replace`` rebuild of the fitted stack."""
+    channels = list(stack.channels)
+    for (idx, attr, kind), value in zip(names, theta):
+        v = math.exp(value) if kind == "log" else float(value)
+        channels[idx] = dataclasses.replace(channels[idx], **{attr: v})
+    return LossStack(tuple(channels))
+
+
+def test_unpack_matches_per_parameter_replace(monkeypatch):
+    # a Zener peak, a power law and a floor, fitted from a template away
+    # from the generating stack
+    f = 97.5e6
+    truth = LossStack((
+        peaked_zener(f, 40.0, delta=4e-5),
+        PowerLawChannel(coefficient=2e-10, exponent=4.0),
+        ConstantChannel(1.1e6),
+    ))
+    template = LossStack((
+        peaked_zener(f, 36.0, delta=2e-5),
+        PowerLawChannel(coefficient=5e-10, exponent=3.7),
+        ConstantChannel(0.77e6),
+    ))
+    data = make_dataset(truth, f, np.geomspace(4.0, 300.0, 40), noise=2e-3, seed=3)
+    names, theta, _ = losses._pack(template)
+    assert losses._unpack(template, names, theta) == _unpack_reference(template, names, theta)
+    fit = fit_loss_stack(data, f, template)
+    monkeypatch.setattr(losses, "_unpack", _unpack_reference)
+    reference = fit_loss_stack(data, f, template)
+    assert fit.stack == reference.stack
+    assert fit.uncertainties == reference.uncertainties
+    assert fit.residual_norm == reference.residual_norm
