@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import FrequencyTrace, TimeTrace, angular, read_csv_table
 from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
@@ -64,6 +63,8 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     amplitude absorbs the relative phase between peak and background.
     Raises ``NoPeakFound`` when no sample rises above the noise floor.
     """
+    from scipy.optimize import least_squares
+
     if len(trace) < 20:
         raise ValueError("need at least 20 points")
     f = trace.frequencies
@@ -142,6 +143,8 @@ def fit_ringdown(trace: TimeTrace) -> RingdownFit:
     the best-fit tau exceeds 100 times the recorded span; warns when the
     span covers less than two time constants.
     """
+    from scipy.optimize import least_squares
+
     if len(trace) < 20:
         raise ValueError("need at least 20 points")
     t = trace.times - trace.times[0]

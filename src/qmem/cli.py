@@ -13,7 +13,7 @@ carry JSON-pointer paths.  Results go to stdout as strict JSON, with
 null for a quantity that is infinite or undefined; ``--out``
 writes the detailed arrays as CSV (or JSON with ``--format json``).
 Exit codes: 0 success, 1 computation or fit failure, 2 usage, IO, or
-configuration error.
+configuration error (``EXIT_CODES`` maps exception types to codes).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import os
 import sys
 
 import numpy as np
-import jsonschema
 
-from . import analysis, duffing, dynamics, electromech, losses, phonon_chain
+from . import analysis, duffing, dynamics, electromech, losses, phonon_chain, photoelastic
 from .errors import ComputationError, ConfigError, NoDefectModeInGap, QmemError
 
 log = logging.getLogger("qmem")
@@ -151,6 +150,8 @@ def _pointer(path) -> str:
 
 
 def load_config(path: str) -> dict:
+    import jsonschema
+
     try:
         with open(path) as fh:
             document = json.load(fh)
@@ -494,8 +495,6 @@ def cmd_bandgap(args) -> tuple[dict, list | None]:
 
 
 def cmd_photoelastic_scan(args) -> tuple[dict, list | None]:
-    from .photoelastic import OpticalConfig, StandingWaveMode, mode_profile_scan
-
     config = load_config(args.config)
     optics = _require(config, "optics")
     chain = _chain_from(config)
@@ -508,7 +507,7 @@ def cmd_photoelastic_scan(args) -> tuple[dict, list | None]:
     mode = phonon_chain.find_defect_mode(chain, gaps[0])
     profile = phonon_chain.mode_profile(chain, mode)
 
-    optical = OpticalConfig(
+    optical = photoelastic.OpticalConfig(
         plate_thickness=optics["plate_thickness_m"],
         wavelength=optics.get("wavelength_m", 1.064e-6),
         n_o=optics.get("n_o", 1.528),
@@ -517,12 +516,12 @@ def cmd_photoelastic_scan(args) -> tuple[dict, list | None]:
         c1=optics.get("c1"),
         c2=optics.get("c2"),
     )
-    wave = StandingWaveMode(
+    wave = photoelastic.StandingWaveMode(
         defect_width=optics["defect_width_m"],
         amplitude=optics["u0_m"],
         frequency=optics.get("f_m_Hz", mode.frequency),
     )
-    scan = mode_profile_scan(profile, optical, wave)
+    scan = photoelastic.mode_profile_scan(profile, optical, wave)
     a = chain.mirror_cell.lattice_constant
     center = chain.mirror_cells_per_side
     positions_um = [(idx - center) * a * 1e6 for idx, _ in scan]
@@ -634,35 +633,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception type -> exit code, first match wins: a computation failure
+# exits 1 even when it is also a ValueError
+EXIT_CODES = (
+    (ComputationError, 1),
+    (ConfigError, 2),
+    (OSError, 2),
+    (ValueError, 2),
+    (QmemError, 1),
+)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("QMEM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("QMEM_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: QMEM_LOG={os.environ['QMEM_LOG']!r} is not a logging level "
+              "(DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload, rows = args.func(args)
-    except ConfigError as exc:
+        if args.out:
+            if rows is None:
+                log.warning("this subcommand has no detailed arrays; --out ignored")
+            else:
+                _write_rows(args.out, rows, args.format)
+    except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QmemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        if rows is None:
-            log.warning("this subcommand has no detailed arrays; --out ignored")
-        else:
-            _write_rows(args.out, rows, args.format)
+        return next(code for exc_type, code in EXIT_CODES if isinstance(exc, exc_type))
     json.dump(_strict_json(payload), sys.stdout, indent=2, allow_nan=False)
     print()
     return 0

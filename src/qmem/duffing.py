@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import FitDidNotConverge, NoBackbonePeak
 
@@ -34,6 +33,9 @@ class DuffingParams:
     drive: float
 
     def __post_init__(self):
+        for name in ("f0", "Q", "beta", "drive"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f0 <= 0.0 or self.Q <= 0.0:
             raise ValueError("f0 and Q must be positive")
         if self.drive < 0.0:
@@ -132,6 +134,8 @@ def _cubic_discriminant(coeffs):
 def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float, n_scan: int = 2001):
     """Interval with three real roots, endpoints refined on the cubic
     discriminant sign change; None when the drive stays subcritical."""
+    from scipy.optimize import brentq
+
     if p.beta == 0.0 or p.drive == 0.0:
         return None
     freqs = np.linspace(f_lo, f_hi, n_scan)
@@ -246,6 +250,8 @@ def fit_backbone(points) -> BackboneFit:
     A from the two-point slope between the extreme amplitudes.  The fit
     is covariant under amplitude rescaling a -> s*a (A -> A/s^n).
     """
+    from scipy.optimize import least_squares
+
     pts = [(float(a), float(f)) for a, f in points]
     if len(pts) < 4:
         raise ValueError("need at least 4 points")

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import TWO_PI
 from .errors import (
@@ -420,6 +419,8 @@ def _propagate(idx: np.ndarray, keep: np.ndarray, liouvillian: np.ndarray,
     Record k is P^k rho0 with P = exp(L dt) the step propagator over the
     record spacing, so the final state is the last of two or more
     records, and exp(L duration) rho0 otherwise."""
+    from scipy.linalg import expm
+
     block = np.ix_(idx, idx)
     n = len(idx)
     times = np.linspace(0.0, duration, n_records)

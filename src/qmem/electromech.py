@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import TWO_PI, FrequencyTrace, angular, read_csv_table
 from .errors import FitDidNotConverge, ResonanceNotInWindow
@@ -177,6 +176,8 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
     ``ResonanceNotInWindow`` when the trace shows no series resonance and
     ``FitDidNotConverge`` when the optimizer fails.
     """
+    from scipy.optimize import least_squares
+
     if len(trace) < 50:
         raise ValueError("need at least 50 points spanning the series resonance")
     guess = _bvd_initial_guess(trace)

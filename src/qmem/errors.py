@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Computation failures (fits, solvers) derive from :class:`ComputationError`
-so the command-line layer can map them to a common exit code.  Input and
-configuration problems raise :class:`ConfigError` or plain ``ValueError``.
+so the command-line layer can map them to a common exit code, even one
+that is also a ``ValueError``.  Input and configuration problems raise
+:class:`ConfigError` or plain ``ValueError``.
 """
 
 
@@ -44,6 +45,12 @@ class LinewidthNotResolved(ComputationError):
 
 class NoBackbonePeak(ComputationError):
     """Duffing response curve has no real peak at the requested drive."""
+
+
+class ModulationTooDeep(ComputationError, ValueError):
+    """Optical modulation depth reaches M >= 1, where the two-term Bessel
+    expansion of the detected power no longer holds.  Also a ValueError,
+    so callers that catch ValueError for out-of-range input still do."""
 
 
 class DegenerateModes(QmemError):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import angular, read_csv_table
 from .errors import DegenerateJacobian, FitDidNotConverge
@@ -243,6 +242,8 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
     initial guess.  Raises ``FitDidNotConverge`` or, for unidentifiable
     templates, ``DegenerateJacobian``.
     """
+    from scipy.optimize import least_squares
+
     names, theta0, lower = _pack(template)
     n_params = len(names)
     if len(data) < 2 * n_params:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import angular
 from .errors import LinewidthNotResolved, NoDefectModeInGap
@@ -145,6 +144,8 @@ def find_band_gaps(cell: UnitCell, f_min: float, f_max: float, resolution: float
     scan sample happens to fall inside it; gaps extending past the scan
     window are clipped to it.
     """
+    from scipy.optimize import brentq
+
     if not f_min < f_max:
         raise ValueError("need f_min < f_max")
     if resolution <= 0.0:
@@ -278,6 +279,8 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap, n_scan: int = 4001) -> Defe
     and ``LinewidthNotResolved`` when the line is narrower than the
     1e-3 Hz resolution of the half-maximum search.
     """
+    from scipy.optimize import brentq
+
     segments = _chain_segments(chain)
     width = gap.f_high - gap.f_low
     margin = 0.01 * width

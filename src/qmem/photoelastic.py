@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .core import angular
-from .errors import OutOfDefect
+from .errors import ModulationTooDeep, OutOfDefect
 
 _QUARTZ_P = {
     "p11": 0.16,
@@ -260,12 +259,17 @@ def detected_power(
 ) -> ModulationResult:
     """Interference observables of the reflected probe at position y.
 
-    Valid in the small-modulation regime: requires M < 1 and warns above
-    M = 0.5, where the two-term Bessel truncation starts to degrade.
+    Valid in the small-modulation regime: raises ``ModulationTooDeep``
+    unless M < 1 and warns above M = 0.5, where the two-term Bessel
+    truncation starts to degrade.
     """
+    from scipy.special import j0, j1
+
     delta0, m = phase_modulation(config, mode, y, tensor)
     if m >= 1.0:
-        raise ValueError(f"modulation depth M = {m:.3g} outside the validity bound M < 1")
+        raise ModulationTooDeep(
+            f"modulation depth M = {m:.3g} outside the validity bound M < 1"
+        )
     if m > 0.5:
         warnings.warn(
             f"modulation depth M = {m:.3g} above 0.5; Bessel truncation degrades",

@@ -2,11 +2,15 @@ import csv
 import json
 import math
 import pathlib
+import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmem
 from qmem.cli import main
 
 CONFIG = "tests/data/reference_config.json"
@@ -284,6 +288,71 @@ def test_photoelastic_scan(capsys, tmp_path, data_dir):
     with open(out_csv) as fh:
         header = fh.readline().strip()
     assert header == "y_um,signal_norm"
+
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_backbone_rejects_non_finite_drive_level(capsys, level):
+    code, out, err = run_cli(
+        capsys, "backbone", "--config", CONFIG, "--drive-levels", f"{level},2e8,3e8,4e8",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "drive must be finite" in err
+
+
+def test_duffing_sweep_rejects_nan_drive(capsys, tmp_path, data_dir):
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["duffing"]["drive_m_Hz2"] = math.nan
+    path = tmp_path / "nan_drive.json"
+    path.write_text(json.dumps(config))  # writes the bare NaN token
+    code, out, err = run_cli(capsys, "duffing-sweep", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "drive must be finite, got nan" in err
+
+
+def test_modulation_too_deep_exits_one(capsys, tmp_path, data_dir):
+    # a 1 um standing wave modulates the probe phase far past M = 1
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["optics"]["u0_m"] = 1e-6
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "photoelastic-scan", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "modulation depth" in err
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing_dir" / "gaps.csv"
+    code, out, err = run_cli(capsys, "bandgap", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def _run_module(*argv, env=None):
+    src = pathlib.Path(qmem.__file__).parents[1]
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "qmem.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_bad_qmem_log_exits_two():
+    proc = _run_module("couple", "--config", CONFIG, env={"QMEM_LOG": "foo"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "QMEM_LOG" in proc.stderr and "'foo'" in proc.stderr
+
+
+def test_qmem_log_accepts_level_names():
+    proc = _run_module("couple", "--config", CONFIG, env={"QMEM_LOG": "debug"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["g_eff_Hz"] > 0.0
 
 
 def test_missing_file_exits_two(capsys):

@@ -359,3 +359,12 @@ def test_backbone_without_real_peak_raises():
 def test_backbone_rejects_negative_drive():
     with pytest.raises(ValueError, match="drive"):
         backbone(stiff_params(1.0), [1e8, -1e8, 2e8])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["f0", "Q", "beta", "drive"])
+def test_params_reject_non_finite(field, value):
+    kwargs = dict(f0=F0, Q=1e4, beta=1e20, drive=1e8)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DuffingParams(**kwargs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmem.core import angular
-from qmem.errors import OutOfDefect
+from qmem.errors import ComputationError, ModulationTooDeep, OutOfDefect
 from qmem.photoelastic import (
     ModulationResult,
     OpticalConfig,
@@ -211,6 +211,16 @@ def test_detected_power_modulation_bounds():
         detected_power(config, make_mode(1.2), 0.0)
     with pytest.warns(UserWarning):
         detected_power(config, make_mode(0.7), 0.0)
+
+
+def test_modulation_too_deep_is_a_computation_error():
+    config = OpticalConfig(plate_thickness=3.5e-6)
+    with pytest.raises(ModulationTooDeep, match="M = 1.2") as exc:
+        detected_power(config, make_mode(1.2), 0.0)
+    assert isinstance(exc.value, ComputationError)
+    # just above the bound
+    with pytest.raises(ModulationTooDeep):
+        detected_power(config, make_mode(1.0 + 1e-9), 0.0)
 
 
 def test_beat_amplitude_odd_in_strain():
