@@ -152,9 +152,20 @@ def _pointer(path) -> str:
 def load_config(path: str) -> dict:
     import jsonschema
 
+    def reject(token: str):
+        # JSON has no NaN or infinity; Python's reader accepts the bare
+        # constants and turns an overflowing literal such as 1e999 into inf
+        raise ConfigError(f"{path}: non-finite number {token} is not allowed")
+
+    def number(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            reject(token)
+        return value
+
     try:
         with open(path) as fh:
-            document = json.load(fh)
+            document = json.load(fh, parse_constant=reject, parse_float=number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -194,21 +205,20 @@ def _shunt_from(config: dict) -> electromech.ShuntCircuit:
 
 def _chain_from(config: dict) -> phonon_chain.ChainSpec:
     section = config.get("chain", {})
-    builder = (
-        phonon_chain.strong_chain
-        if section.get("strong_mirrors", False)
-        else phonon_chain.reference_chain
+    gap_fraction = section.get("gap_fraction", 0.20)
+    if section.get("strong_mirrors", False):
+        if "gap_fraction" in section:
+            raise ConfigError(
+                "config error at /chain: gap_fraction cannot be combined with "
+                f"strong_mirrors, which fixes it at {phonon_chain.STRONG_GAP_FRACTION}"
+            )
+        gap_fraction = phonon_chain.STRONG_GAP_FRACTION
+    return phonon_chain.reference_chain(
+        n_mirror=section.get("mirror_cells_per_side", 5),
+        width_scale=section.get("defect_width_scale", phonon_chain.DEFAULT_DEFECT_STRETCH),
+        gap_fraction=gap_fraction,
+        f_center=section.get("f_center_Hz", 100e6),
     )
-    kwargs = {
-        "n_mirror": section.get("mirror_cells_per_side", 5),
-        "width_scale": section.get(
-            "defect_width_scale", phonon_chain.DEFAULT_DEFECT_STRETCH
-        ),
-    }
-    if builder is phonon_chain.reference_chain:
-        kwargs["gap_fraction"] = section.get("gap_fraction", 0.20)
-        kwargs["f_center"] = section.get("f_center_Hz", 100e6)
-    return builder(**kwargs)
 
 
 def _loss_stack_from(config: dict) -> losses.LossStack:
@@ -291,7 +301,6 @@ def _derivation(config: dict, n_defects: int = 1) -> dict:
         system.mech.decay_rate, dressed.lambda_sm, system.snail.decay_rate
     )
     return {
-        "bvd": bvd,
         "system": system,
         "drive": drive,
         "payload": {

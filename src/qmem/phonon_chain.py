@@ -23,12 +23,17 @@ a higher-contrast variant where per-cell evanescent decay is stronger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import angular
 from .errors import LinewidthNotResolved, NoDefectModeInGap
+
+# samples of the resonance residual across a gap when bracketing modes
+MODE_SCAN_POINTS = 4001
+# field samples per segment in mode_profile
+PROFILE_SAMPLES_PER_SEGMENT = 8
 
 
 @dataclass(frozen=True)
@@ -157,15 +162,12 @@ def find_band_gaps(cell: UnitCell, f_min: float, f_max: float, resolution: float
     def residual(f):
         return abs(dispersion(cell, f)) - 1.0
 
+    # runs of in-gap samples: [start, end] index pairs
+    steps = np.diff(np.concatenate(([0], in_gap.astype(np.int8), [0])))
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1) - 1
     gaps: list[BandGap] = []
-    i = 0
-    while i < n:
-        if not in_gap[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and in_gap[j + 1]:
-            j += 1
+    for i, j in zip(starts, ends):
         lo = freqs[i]
         if i > 0:
             lo = brentq(residual, freqs[i - 1], freqs[i], rtol=1e-12)
@@ -174,7 +176,6 @@ def find_band_gaps(cell: UnitCell, f_min: float, f_max: float, resolution: float
             hi = brentq(residual, freqs[j], freqs[j + 1], rtol=1e-12)
         if lo < hi:
             gaps.append(BandGap(float(lo), float(hi)))
-        i = j + 1
     return gaps
 
 
@@ -210,23 +211,17 @@ def _chain_matrix(segments: list[Segment], f: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scattering(matrix: np.ndarray, z_term: float):
-    m00 = matrix[..., 0, 0]
-    m01 = matrix[..., 0, 1]
-    m10 = matrix[..., 1, 0]
-    m11 = matrix[..., 1, 1]
-    denom = m00 + m01 / z_term + z_term * m10 + m11
-    t = 2.0 / denom
-    r = (m00 + m01 / z_term - z_term * m10 - m11) / denom
-    return t, r
-
-
 def scattering_amplitudes(chain: ChainSpec, f_hz):
     """Complex transmission and reflection amplitudes (t, r) of the chain."""
     f = np.atleast_1d(np.asarray(f_hz, dtype=float))
     if np.any(f <= 0.0):
         raise ValueError("frequencies must be positive")
-    t, r = _scattering(_chain_matrix(_chain_segments(chain), f), chain.termination_impedance)
+    m = _chain_matrix(_chain_segments(chain), f)
+    z = chain.termination_impedance
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    denom = m00 + m01 / z + z * m10 + m11
+    t = 2.0 / denom
+    r = (m00 + m01 / z - z * m10 - m11) / denom
     if np.isscalar(f_hz):
         return complex(t[0]), complex(r[0])
     return t, r
@@ -248,59 +243,33 @@ def _resonance_residual(chain: ChainSpec, segments: list[Segment], f: np.ndarray
     return np.imag(m[..., 0, 1]) / z - z * np.imag(m[..., 1, 0])
 
 
-def _golden_section_max(func, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = func(d)
-    return 0.5 * (a + b)
-
-
-def find_defect_mode(chain: ChainSpec, gap: BandGap, n_scan: int = 4001) -> DefectMode:
+def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     """Locate the localized defect resonance inside a band gap.
 
-    The mode frequency is the in-gap transmission maximum, bracketed by
-    the unit-transmission condition of the symmetric chain and refined
-    by golden-section search to 1 Hz.  The radiative Q is frequency over
-    the transmission full width at half maximum, and the localization
-    length a/(kappa*a) follows from the mirror-cell Bloch decay constant
-    at the mode frequency.  Raises ``NoDefectModeInGap`` when the gap
-    holds no resonance (peak transmission below 10x the mid-gap floor),
-    and ``LinewidthNotResolved`` when the line is narrower than the
-    1e-3 Hz resolution of the half-maximum search.
+    The mode frequency is the root h(f) = 0 of the resonance residual of
+    the symmetric chain, where its transmission is exactly 1; brentq
+    places it to 1e-3 Hz.  The radiative Q is frequency over the
+    transmission full width at half maximum (the roots |h| = 2), and the
+    localization length a/(kappa*a) follows from the mirror-cell Bloch
+    decay constant at the mode frequency.  Raises ``NoDefectModeInGap``
+    when the gap holds no resonance (peak transmission below 10x the
+    mid-gap floor), and ``LinewidthNotResolved`` when the line is
+    narrower than the 1e-3 Hz resolution of the half-maximum search.
     """
     from scipy.optimize import brentq
 
     segments = _chain_segments(chain)
-    width = gap.f_high - gap.f_low
-    margin = 0.01 * width
-    freqs = np.linspace(gap.f_low + margin, gap.f_high - margin, n_scan)
+    margin = 0.01 * (gap.f_high - gap.f_low)
+    freqs = np.linspace(gap.f_low + margin, gap.f_high - margin, MODE_SCAN_POINTS)
     h = _resonance_residual(chain, segments, freqs)
-    t2 = 1.0 / (1.0 + 0.25 * h**2)
 
     # mid-gap shielding floor: transmission of the same chain with the
     # defect replaced by one more mirror cell
-    uniform = ChainSpec(
-        chain.mirror_cells_per_side, chain.mirror_cell, chain.mirror_cell,
-        chain.termination_impedance,
-    )
+    uniform = replace(chain, defect_cell=chain.mirror_cell)
     floor = float(transmission(uniform, gap.center))
 
     def h_at(f):
         return float(_resonance_residual(chain, segments, np.array([f]))[0])
-
-    def t2_at(f):
-        return float(transmission(chain, float(f)))
 
     sign_change = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[0]
     candidates = [
@@ -310,62 +279,54 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap, n_scan: int = 4001) -> Defe
         # a mirror-symmetric lossless chain reaches |t| = 1 at any localized
         # resonance, so the absence of a unit-transmission root (or a peak
         # failing the 10x-floor contrast test) means no defect mode
+        peak = 1.0 / (1.0 + 0.25 * float(np.min(h**2)))
         raise NoDefectModeInGap(
             f"no localized resonance in [{gap.f_low:.6g}, {gap.f_high:.6g}] Hz "
-            f"(peak/floor = {float(np.max(t2)) / floor:.3g}, threshold 10)"
+            f"(peak/floor = {peak / floor:.3g}, threshold 10)"
         )
 
     # several in-gap resonances are possible for long defects; report the
     # one closest to the gap center
-    f_seed = min(candidates, key=lambda f: abs(f - gap.center))
+    f_mode = min(candidates, key=lambda f: abs(f - gap.center))
 
     def bracket(target_sign: int) -> float:
         # walk outward from the resonance to a sample with |h| > 2; if the
         # linewidth spills past the gap edge, clamp there
         step = max((freqs[1] - freqs[0]), 1.0)
-        f_out = f_seed + target_sign * step
+        f_out = f_mode + target_sign * step
         while gap.f_low < f_out < gap.f_high and abs(h_at(f_out)) < 2.0:
             step *= 2.0
-            f_out = f_seed + target_sign * step
+            f_out = f_mode + target_sign * step
         f_out = min(max(f_out, gap.f_low), gap.f_high)
         if abs(h_at(f_out)) < 2.0:
             return f_out
-        return brentq(lambda f: abs(h_at(f)) - 2.0, f_seed, f_out, xtol=1e-3)
+        return brentq(lambda f: abs(h_at(f)) - 2.0, f_mode, f_out, xtol=1e-3)
 
     try:
-        f_half_lo = bracket(-1)
-        f_half_hi = bracket(+1)
+        fwhm = bracket(+1) - bracket(-1)
     except ValueError:
         # no brentq bracket: |h| is above the half-maximum level already at
-        # the seed, which is placed only to 1e-3 Hz
-        f_half_lo = f_half_hi = f_seed
-    fwhm = f_half_hi - f_half_lo
+        # the root, which is placed only to 1e-3 Hz
+        fwhm = 0.0
     if fwhm <= 0.0:
         raise LinewidthNotResolved(
-            f"defect-mode linewidth at {f_seed:.6g} Hz is below the 1e-3 Hz "
+            f"defect-mode linewidth at {f_mode:.6g} Hz is below the 1e-3 Hz "
             "resolution of the half-maximum search"
         )
-    f_mode = _golden_section_max(t2_at, f_half_lo, f_half_hi, tol=1.0)
 
-    radiative_q = f_mode / fwhm
     kappa_a = bloch_decay_per_cell(chain.mirror_cell, f_mode)
     if kappa_a <= 0.0:
         raise NoDefectModeInGap(
             f"resonance at {f_mode:.6g} Hz lies outside the mirror gap"
         )
-    mode = DefectMode(
+    return DefectMode(
         frequency=float(f_mode),
         localization_length=chain.mirror_cell.lattice_constant / kappa_a,
-        radiative_q=float(radiative_q),
+        radiative_q=float(f_mode / fwhm),
     )
-    if not gap.contains(mode.frequency):
-        raise NoDefectModeInGap(
-            f"resonance at {mode.frequency:.6g} Hz escaped the band gap"
-        )
-    return mode
 
 
-def mode_profile(chain: ChainSpec, mode: DefectMode, samples_per_segment: int = 8):
+def mode_profile(chain: ChainSpec, mode: DefectMode):
     """Per-cell field amplitude of the defect mode, normalized at the defect.
 
     The field is integrated from the outgoing-wave boundary on the right
@@ -379,8 +340,8 @@ def mode_profile(chain: ChainSpec, mode: DefectMode, samples_per_segment: int = 
     ``mirror_cells_per_side`` and amplitude 1.
     """
     segments = _chain_segments(chain)
-    n_side = chain.mirror_cells_per_side
-    n_cells = 2 * n_side + 1
+    defect_index = chain.mirror_cells_per_side
+    n_cells = 2 * defect_index + 1
     f = mode.frequency
 
     # start from unit outgoing wave at the right termination and propagate
@@ -388,27 +349,20 @@ def mode_profile(chain: ChainSpec, mode: DefectMode, samples_per_segment: int = 
     z_t = chain.termination_impedance
     state = np.array([1.0 + 0.0j, 1.0 / z_t])
     energy_sums = np.zeros(n_cells)
-    energy_counts = np.zeros(n_cells, dtype=int)
-    defect_index = n_side
     for seg_index in range(len(segments) - 1, 3 * defect_index - 1, -1):
         segment = segments[seg_index]
         cell_index = seg_index // 3
-        slice_seg = Segment(
-            segment.length / samples_per_segment,
-            segment.sound_speed,
-            segment.acoustic_impedance,
-        )
+        slice_seg = replace(segment, length=segment.length / PROFILE_SAMPLES_PER_SEGMENT)
         m_slice = _segment_matrices(slice_seg, np.zeros(()) + f)
         z = segment.acoustic_impedance
-        for _ in range(samples_per_segment):
+        for _ in range(PROFILE_SAMPLES_PER_SEGMENT):
             energy_sums[cell_index] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
-            energy_counts[cell_index] += 1
             state = m_slice @ state
         energy_sums[cell_index] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
-        energy_counts[cell_index] += 1
 
     amplitudes = np.zeros(n_cells)
-    right = np.sqrt(energy_sums[defect_index:] / energy_counts[defect_index:])
+    # every cell holds three segments of PROFILE_SAMPLES_PER_SEGMENT + 1 samples
+    right = np.sqrt(energy_sums[defect_index:] / (3 * (PROFILE_SAMPLES_PER_SEGMENT + 1)))
     amplitudes[defect_index:] = right
     amplitudes[:defect_index] = right[1:][::-1]
     amplitudes /= amplitudes[defect_index]
@@ -425,6 +379,8 @@ BASE_IMPEDANCE = 1.52e7  # kg/(m^2 s)
 # near-half-wave defect; places the trapped mode at ~97.2 MHz in the
 # calibrated 90-110 MHz gap with five mirror cells per side
 DEFAULT_DEFECT_STRETCH = 2.2
+# fractional gap width of the high-contrast (strong) mirror cell
+STRONG_GAP_FRACTION = 0.55
 
 
 def _impedance_ratio_for_gap(gap_fraction: float) -> float:
@@ -447,7 +403,7 @@ def strong_mirror_cell(f_center: float = 100e6) -> UnitCell:
     """High-contrast mirror variant for radiative-Q scaling studies; its
     per-cell decay constant is large enough that adding one mirror cell
     per side changes Q by well over an order of magnitude."""
-    return reference_mirror_cell(f_center, gap_fraction=0.55)
+    return reference_mirror_cell(f_center, STRONG_GAP_FRACTION)
 
 
 def reference_defect_cell(
@@ -483,11 +439,4 @@ def reference_chain(
 
 def strong_chain(n_mirror: int = 5, width_scale: float = DEFAULT_DEFECT_STRETCH) -> ChainSpec:
     """High-contrast counterpart of :func:`reference_chain`."""
-    mirror = strong_mirror_cell()
-    defect = reference_defect_cell(mirror, width_scale)
-    return ChainSpec(
-        mirror_cells_per_side=n_mirror,
-        mirror_cell=mirror,
-        defect_cell=defect,
-        termination_impedance=mirror.segments[0].acoustic_impedance,
-    )
+    return reference_chain(n_mirror, width_scale, gap_fraction=STRONG_GAP_FRACTION)

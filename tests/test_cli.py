@@ -69,6 +69,18 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, data_dir):
     assert "/bvd" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_rejects_non_finite_numbers(capsys, tmp_path, data_dir, token):
+    text = (data_dir / "reference_config.json").read_text()
+    path = tmp_path / "non_finite.json"
+    path.write_text(text.replace('"C0_F": 8.96e-16', f'"C0_F": {token}', 1))
+    assert path.read_text() != text
+    code, out, err = run_cli(capsys, "couple", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: non-finite number {token} is not allowed\n"
+
+
 def test_iswap_dissipation_off(capsys, tmp_path, data_dir):
     out_path = tmp_path / "iswap.csv"
     payload = run_json(
@@ -275,6 +287,37 @@ def test_bandgap_defaults(capsys):
     assert payload["defect_mode"]["frequency_Hz"] == pytest.approx(97.2e6, rel=5e-3)
 
 
+def test_strong_mirrors_honour_f_center(capsys, tmp_path, data_dir):
+    # every segment length scales as 1/f_center, so doubling it doubles
+    # the gap edges and the mode frequency
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    modes = {}
+    for f_center in (1e8, 2e8):
+        config["chain"] = {"strong_mirrors": True, "f_center_Hz": f_center}
+        path = tmp_path / f"strong_{f_center:.0e}.json"
+        path.write_text(json.dumps(config))
+        payload = run_json(
+            capsys, "bandgap", "--config", str(path),
+            "--f-min", str(0.5 * f_center), "--f-max", str(1.6 * f_center),
+        )
+        (gap,) = payload["gaps_Hz"]
+        assert gap == pytest.approx([0.725 * f_center, 1.275 * f_center], rel=1e-6)
+        scan = run_json(capsys, "photoelastic-scan", "--config", str(path))
+        assert scan["mode_frequency_Hz"] == payload["defect_mode"]["frequency_Hz"]
+        modes[f_center] = scan["mode_frequency_Hz"]
+    assert modes[2e8] == pytest.approx(2.0 * modes[1e8], rel=1e-10)
+
+
+def test_strong_mirrors_reject_gap_fraction(capsys, tmp_path):
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({"chain": {"strong_mirrors": True, "gap_fraction": 0.3}}))
+    code, out, err = run_cli(capsys, "bandgap", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "/chain" in err and "gap_fraction" in err and "strong_mirrors" in err
+
+
 def test_photoelastic_scan(capsys, tmp_path, data_dir):
     out_csv = tmp_path / "scan.csv"
     payload = run_json(
@@ -308,7 +351,8 @@ def test_duffing_sweep_rejects_nan_drive(capsys, tmp_path, data_dir):
     code, out, err = run_cli(capsys, "duffing-sweep", "--config", str(path))
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "drive must be finite, got nan" in err
+    # rejected while the config is read, before the Duffing parameters exist
+    assert err.count("\n") == 1 and f"{path}: non-finite number NaN" in err
 
 
 def test_modulation_too_deep_exits_one(capsys, tmp_path, data_dir):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmem.errors import NoDefectModeInGap
 from qmem.phonon_chain import (
@@ -33,6 +35,11 @@ def uniform_cell(length=14.375e-6):
     return UnitCell((seg, seg))
 
 
+impedances = st.floats(1e6, 1e8)
+segments = st.builds(Segment, st.floats(1e-6, 1e-4), st.floats(2e3, 1e4), impedances)
+cells = st.builds(lambda a, b: UnitCell((a, b)), segments, segments)
+
+
 def test_dispersion_matches_transfer_matrix_trace():
     cell = reference_mirror_cell()
     freqs = np.linspace(10e6, 300e6, 23)
@@ -59,6 +66,53 @@ def test_dispersion_midgap_exceeds_unity():
 
 def test_find_band_gaps_uniform_chain_empty():
     assert find_band_gaps(uniform_cell(), 50e6, 150e6, 0.1e6) == []
+
+
+def _band_gaps_scalar_reference(cell, f_min, f_max, resolution):
+    # the scalar run loop that find_band_gaps used to walk the in-gap mask
+    from scipy.optimize import brentq
+
+    n = max(int(math.ceil((f_max - f_min) / resolution)) + 1, 2)
+    freqs = np.linspace(f_min, f_max, n)
+    in_gap = np.abs(dispersion(cell, freqs)) > 1.0
+
+    def residual(f):
+        return abs(dispersion(cell, f)) - 1.0
+
+    gaps = []
+    i = 0
+    while i < n:
+        if not in_gap[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and in_gap[j + 1]:
+            j += 1
+        lo = freqs[i]
+        if i > 0:
+            lo = brentq(residual, freqs[i - 1], freqs[i], rtol=1e-12)
+        hi = freqs[j]
+        if j + 1 < n:
+            hi = brentq(residual, freqs[j], freqs[j + 1], rtol=1e-12)
+        if lo < hi:
+            gaps.append(BandGap(float(lo), float(hi)))
+        i = j + 1
+    return gaps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cell=cells,
+    f_min=st.floats(1e6, 2e8),
+    span=st.floats(1e6, 4e8),
+    samples=st.integers(1, 5000),
+)
+def test_find_band_gaps_matches_scalar_run_loop(cell, f_min, span, samples):
+    f_max = f_min + span
+    resolution = span / samples
+    assert find_band_gaps(cell, f_min, f_max, resolution) == _band_gaps_scalar_reference(
+        cell, f_min, f_max, resolution
+    )
 
 
 def test_calibrated_gap_is_twenty_percent_at_hundred_megahertz():
@@ -88,6 +142,16 @@ def test_energy_conservation():
     chain = reference_chain()
     freqs = np.linspace(60e6, 140e6, 200)
     t, r = scattering_amplitudes(chain, freqs)
+    assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain=st.builds(ChainSpec, st.integers(0, 8), cells, cells, impedances),
+    freqs=st.lists(st.floats(1e6, 3e8), min_size=1, max_size=20),
+)
+def test_lossless_chain_conserves_energy(chain, freqs):
+    t, r = scattering_amplitudes(chain, np.array(freqs))
     assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)) < 1e-9
 
 
@@ -129,6 +193,20 @@ def test_defect_mode_in_calibrated_gap():
     assert mode.frequency == pytest.approx(97.2e6, rel=5e-3)
     assert mode.radiative_q > 0
     assert mode.localization_length > 0
+
+
+@pytest.mark.parametrize("builder,counts,window", [
+    (reference_chain, range(3, 11), (50e6, 150e6)),
+    (strong_chain, range(5, 8), (50e6, 160e6)),
+])
+def test_defect_mode_sits_at_unit_transmission(builder, counts, window):
+    # the mode is the root of h, where the lossless symmetric chain
+    # transmits exactly; transmission() evaluates it on its own path
+    gap = find_band_gaps(builder(3).mirror_cell, *window, 0.1e6)[0]
+    for n in counts:
+        chain = builder(n)
+        mode = find_defect_mode(chain, gap)
+        assert abs(1.0 - transmission(chain, mode.frequency)) <= 1e-10
 
 
 def test_defect_frequency_monotone_in_width():
@@ -175,6 +253,12 @@ def test_log_radiative_q_affine_in_mirror_count():
         )
         assert r_squared > 0.99
         assert slope > 0
+
+
+@pytest.mark.parametrize("n", [0, 3, 7])
+@pytest.mark.parametrize("width_scale", [1.5, 2.2])
+def test_strong_chain_is_reference_chain_at_055(n, width_scale):
+    assert strong_chain(n, width_scale) == reference_chain(n, width_scale, gap_fraction=0.55)
 
 
 def test_mode_profile_normalization_and_symmetry():
