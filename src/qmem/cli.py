@@ -116,7 +116,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mirror_cells_per_side": {"type": "integer", "minimum": 0},
+                # the strong chain's transfer matrix overflows a double
+                # from about 390 cells per side
+                "mirror_cells_per_side": {"type": "integer", "minimum": 0, "maximum": 100},
                 "defect_width_scale": _POS,
                 "gap_fraction": _POS,
                 "f_center_Hz": _POS,
@@ -163,9 +165,16 @@ def load_config(path: str) -> dict:
             reject(token)
         return value
 
+    def integer(token: str) -> int:
+        # an integer literal too large for a double has no finite value
+        number(token)
+        return int(token)
+
     try:
         with open(path) as fh:
-            document = json.load(fh, parse_constant=reject, parse_float=number)
+            document = json.load(
+                fh, parse_constant=reject, parse_float=number, parse_int=integer
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -5,7 +5,10 @@ carrying longitudinal waves; the width modulation of the real device is
 folded into the acoustic impedance contrast between the narrow and wide
 segments of each unit cell.  Bloch dispersion of the periodic mirror,
 scattering through a finite chain, and the localized defect resonance
-all derive from 2x2 (stress, velocity) transfer matrices.
+all derive from 2x2 (stress, velocity) transfer matrices.  The chain
+matrix is mirror^N . defect . mirror^N, with the unimodular cell matrix
+raised to the N-th power in Chebyshev form, so its cost does not depend
+on the mirror count.
 
 Cells are assembled symmetrically (half narrow | wide | half narrow),
 which leaves the Bloch dispersion unchanged and makes every chain
@@ -34,6 +37,16 @@ from .errors import LinewidthNotResolved, NoDefectModeInGap
 MODE_SCAN_POINTS = 4001
 # field samples per segment in mode_profile
 PROFILE_SAMPLES_PER_SEGMENT = 8
+# brentq tolerance of the mode root and half-maximum edges, as a fraction
+# of the predicted FWHM 4/|h'(f0)|
+LINE_TOL = 1e-9
+# radiative Q from which the linewidth is 4/|h'(f0)| itself; it differs
+# from the half-maximum edges by 1e-10 at Q = 4e6, 4e-6 at Q = 6e3 and
+# 3 % at Q = 21
+DIRECT_Q_MIN = 1e6
+# central-difference step of h'(f0), relative to f0: h bends on a MHz
+# scale, so +-1e-6 f0 keeps truncation and round-off near 1e-10
+SLOPE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -205,10 +218,35 @@ def _segment_matrices(segment: Segment, f: np.ndarray) -> np.ndarray:
 
 
 def _chain_matrix(segments: list[Segment], f: np.ndarray) -> np.ndarray:
-    total = np.broadcast_to(np.eye(2, dtype=complex), f.shape + (2, 2)).copy()
-    for segment in segments:
+    total = _segment_matrices(segments[0], f)
+    for segment in segments[1:]:
         total = total @ _segment_matrices(segment, f)
     return total
+
+
+def _power(m: np.ndarray, n: int) -> np.ndarray:
+    """m^n of unimodular 2x2 matrices: U_{n-1}(x) m - U_{n-2}(x) I, x = tr(m)/2.
+
+    The Chebyshev polynomials of the second kind come from the three-term
+    recurrence U_{k+1} = 2x U_k - U_{k-1}, started at U_{-2} = -1 and
+    U_{-1} = 0, so no band-edge guard is needed (Abeles form of a
+    periodic stack)."""
+    x = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    u_prev, u = -np.ones_like(x), np.zeros_like(x)
+    for _ in range(n):
+        u_prev, u = u, 2.0 * x * u - u_prev
+    out = u[..., None, None] * m
+    out[..., 0, 0] -= u_prev
+    out[..., 1, 1] -= u_prev
+    return out
+
+
+def _transfer_matrix(chain: ChainSpec, f: np.ndarray) -> np.ndarray:
+    """Whole-chain transfer matrix mirror^N . defect . mirror^N; its cost
+    does not grow with the mirror count N."""
+    cell = _chain_matrix(_rendered_cell(chain.mirror_cell), f)
+    mirror = _power(cell, chain.mirror_cells_per_side)
+    return mirror @ _chain_matrix(_rendered_cell(chain.defect_cell), f) @ mirror
 
 
 def scattering_amplitudes(chain: ChainSpec, f_hz):
@@ -216,7 +254,7 @@ def scattering_amplitudes(chain: ChainSpec, f_hz):
     f = np.atleast_1d(np.asarray(f_hz, dtype=float))
     if np.any(f <= 0.0):
         raise ValueError("frequencies must be positive")
-    m = _chain_matrix(_chain_segments(chain), f)
+    m = _transfer_matrix(chain, f)
     z = chain.termination_impedance
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     denom = m00 + m01 / z + z * m10 + m11
@@ -233,12 +271,12 @@ def transmission(chain: ChainSpec, f_hz):
     return np.abs(t) ** 2 if not np.isscalar(f_hz) else abs(t) ** 2
 
 
-def _resonance_residual(chain: ChainSpec, segments: list[Segment], f: np.ndarray) -> np.ndarray:
+def _resonance_residual(chain: ChainSpec, f: np.ndarray) -> np.ndarray:
     # For a mirror-symmetric lossless chain the off-diagonal transfer
     # entries are purely imaginary, M01 = i*b and M10 = i*c, and
     # |t|^2 = 1/(1 + h^2/4) with h = b/Z - Z*c: h = 0 is exact unit
     # transmission, h = +-2 the half-maximum points.
-    m = _chain_matrix(segments, f)
+    m = _transfer_matrix(chain, f)
     z = chain.termination_impedance
     return np.imag(m[..., 0, 1]) / z - z * np.imag(m[..., 1, 0])
 
@@ -246,22 +284,33 @@ def _resonance_residual(chain: ChainSpec, segments: list[Segment], f: np.ndarray
 def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     """Locate the localized defect resonance inside a band gap.
 
-    The mode frequency is the root h(f) = 0 of the resonance residual of
-    the symmetric chain, where its transmission is exactly 1; brentq
-    places it to 1e-3 Hz.  The radiative Q is frequency over the
-    transmission full width at half maximum (the roots |h| = 2), and the
-    localization length a/(kappa*a) follows from the mirror-cell Bloch
-    decay constant at the mode frequency.  Raises ``NoDefectModeInGap``
-    when the gap holds no resonance (peak transmission below 10x the
-    mid-gap floor), and ``LinewidthNotResolved`` when the line is
-    narrower than the 1e-3 Hz resolution of the half-maximum search.
+    The resonance residual h(f) comes from the Chebyshev chain matrix
+    mirror^N . defect . mirror^N, so one evaluation costs the same at any
+    mirror count N.  The mode frequency f0 is the root h = 0 nearest the
+    gap center, where the symmetric chain transmits exactly.  Near it
+    |t|^2 = 1/(1 + h^2/4) is a Lorentzian of predicted full width at half
+    maximum FWHM = 4/|h'(f0)|, and every tolerance scales with it: brentq
+    places the root, and any half-maximum edge |h| = 2, to ``LINE_TOL``
+    of the predicted FWHM, or to the float resolution of f if coarser.
+    h'(f0) is a central difference over +-``SLOPE_STEP`` f0.
+
+    The radiative Q is f0/FWHM, in one of two regimes.  Below
+    ``DIRECT_Q_MIN`` the FWHM is the distance between the half-maximum
+    edges, because h bends within a broad line.  From ``DIRECT_Q_MIN``
+    on, Q is f0 |h'(f0)| / 4 itself: h is linear across the line, while
+    the edges would approach the float spacing of f.  The localization
+    length a/(kappa*a) follows from the mirror-cell Bloch decay constant
+    at f0.
+
+    Raises ``NoDefectModeInGap`` when the gap holds no resonance (peak
+    transmission below 10x the mid-gap floor), and
+    ``LinewidthNotResolved`` when h'(f0) is not finite or is zero.
     """
     from scipy.optimize import brentq
 
-    segments = _chain_segments(chain)
     margin = 0.01 * (gap.f_high - gap.f_low)
     freqs = np.linspace(gap.f_low + margin, gap.f_high - margin, MODE_SCAN_POINTS)
-    h = _resonance_residual(chain, segments, freqs)
+    h = _resonance_residual(chain, freqs)
 
     # mid-gap shielding floor: transmission of the same chain with the
     # defect replaced by one more mirror cell
@@ -269,12 +318,15 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     floor = float(transmission(uniform, gap.center))
 
     def h_at(f):
-        return float(_resonance_residual(chain, segments, np.array([f]))[0])
+        return float(_resonance_residual(chain, np.array([f]))[0])
+
+    def root(i: int) -> float:
+        # the secant across the scan interval predicts the FWHM 4/|h'|
+        fwhm = 4.0 * (freqs[i + 1] - freqs[i]) / abs(h[i + 1] - h[i])
+        return brentq(h_at, freqs[i], freqs[i + 1], xtol=LINE_TOL * fwhm)
 
     sign_change = np.nonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)[0]
-    candidates = [
-        brentq(h_at, freqs[i], freqs[i + 1], xtol=1e-3) for i in sign_change
-    ]
+    candidates = [root(i) for i in sign_change]
     if not candidates or 1.0 < 10.0 * floor:
         # a mirror-symmetric lossless chain reaches |t| = 1 at any localized
         # resonance, so the absence of a unit-transmission root (or a peak
@@ -289,30 +341,31 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     # one closest to the gap center
     f_mode = min(candidates, key=lambda f: abs(f - gap.center))
 
-    def bracket(target_sign: int) -> float:
-        # walk outward from the resonance to a sample with |h| > 2; if the
+    f_pair = f_mode * np.array([1.0 - SLOPE_STEP, 1.0 + SLOPE_STEP])
+    h_pair = _resonance_residual(chain, f_pair)
+    slope = float((h_pair[1] - h_pair[0]) / (f_pair[1] - f_pair[0]))
+    if not math.isfinite(slope) or slope == 0.0:
+        raise LinewidthNotResolved(
+            f"resonance-residual slope h' = {slope!r} /Hz at {f_mode:.6g} Hz "
+            "gives no linewidth 4/|h'|"
+        )
+    fwhm = 4.0 / abs(slope)
+
+    def edge(direction: int) -> float:
+        # walk outward from the resonance to a point with |h| > 2; if the
         # linewidth spills past the gap edge, clamp there
-        step = max((freqs[1] - freqs[0]), 1.0)
-        f_out = f_mode + target_sign * step
+        step = fwhm
+        f_out = f_mode + direction * step
         while gap.f_low < f_out < gap.f_high and abs(h_at(f_out)) < 2.0:
             step *= 2.0
-            f_out = f_mode + target_sign * step
+            f_out = f_mode + direction * step
         f_out = min(max(f_out, gap.f_low), gap.f_high)
         if abs(h_at(f_out)) < 2.0:
             return f_out
-        return brentq(lambda f: abs(h_at(f)) - 2.0, f_mode, f_out, xtol=1e-3)
+        return brentq(lambda f: abs(h_at(f)) - 2.0, f_mode, f_out, xtol=LINE_TOL * fwhm)
 
-    try:
-        fwhm = bracket(+1) - bracket(-1)
-    except ValueError:
-        # no brentq bracket: |h| is above the half-maximum level already at
-        # the root, which is placed only to 1e-3 Hz
-        fwhm = 0.0
-    if fwhm <= 0.0:
-        raise LinewidthNotResolved(
-            f"defect-mode linewidth at {f_mode:.6g} Hz is below the 1e-3 Hz "
-            "resolution of the half-maximum search"
-        )
+    if f_mode / fwhm < DIRECT_Q_MIN:
+        fwhm = edge(+1) - edge(-1)
 
     kappa_a = bloch_decay_per_cell(chain.mirror_cell, f_mode)
     if kappa_a <= 0.0:

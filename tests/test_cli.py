@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qmem
+from qmem import phonon_chain
 from qmem.cli import main
 
 CONFIG = "tests/data/reference_config.json"
@@ -79,6 +80,29 @@ def test_config_rejects_non_finite_numbers(capsys, tmp_path, data_dir, token):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: non-finite number {token} is not allowed\n"
+
+
+def test_config_rejects_integer_without_float_value(capsys, tmp_path, data_dir):
+    text = (data_dir / "reference_config.json").read_text()
+    token = "1" + "0" * 400
+    path = tmp_path / "huge_int.json"
+    path.write_text(text.replace('"C0_F": 8.96e-16', f'"C0_F": {token}', 1))
+    assert path.read_text() != text
+    code, out, err = run_cli(capsys, "couple", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: non-finite number {token} is not allowed\n"
+
+
+@pytest.mark.parametrize("cells", [101, 10**20])
+def test_config_bounds_mirror_cells(capsys, tmp_path, cells):
+    path = tmp_path / "long_chain.json"
+    path.write_text(json.dumps({"chain": {"mirror_cells_per_side": cells}}))
+    code, out, err = run_cli(capsys, "bandgap", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "/chain/mirror_cells_per_side" in err and "maximum of 100" in err
 
 
 def test_iswap_dissipation_off(capsys, tmp_path, data_dir):
@@ -265,18 +289,27 @@ def test_couple_without_three_wave_mixing_is_strict_json(capsys, tmp_path, data_
     assert payload["T_iswap_s"] is None
 
 
-@pytest.mark.parametrize("cells", [15, 17])
-def test_bandgap_unresolved_linewidth_exits_one(capsys, tmp_path, cells):
-    # strong mirrors: at 15 cells the half-maximum edges collapse onto the
-    # resonance, from 17 cells they no longer bracket it
+def test_bandgap_resolves_high_q_strong_chains(capsys, tmp_path):
+    # strong mirrors up to Q ~ 5e15: every count exits 0 and log Q grows
+    # by 2 kappa a per added cell, from the mirror's Bloch decay at the mode
     path = tmp_path / "strong.json"
-    path.write_text(json.dumps(
-        {"chain": {"strong_mirrors": True, "mirror_cells_per_side": cells}}
-    ))
-    code, out, err = run_cli(capsys, "bandgap", "--config", str(path))
-    assert code == 1
-    assert out == ""
-    assert "linewidth" in err and len(err.strip().splitlines()) == 1
+    counts = np.arange(3, 21)
+    qs = []
+    for cells in counts:
+        path.write_text(json.dumps(
+            {"chain": {"strong_mirrors": True, "mirror_cells_per_side": int(cells)}}
+        ))
+        code, out, err = run_cli(capsys, "bandgap", "--config", str(path))
+        assert code == 0, err
+        mode = json.loads(out)["defect_mode"]
+        qs.append(mode["radiative_Q"])
+    log_q = np.log(qs)
+    slope, intercept = np.polyfit(counts, log_q, 1)
+    assert np.max(np.abs(log_q - (slope * counts + intercept))) < 0.01
+    kappa_a = phonon_chain.bloch_decay_per_cell(
+        phonon_chain.strong_mirror_cell(), mode["frequency_Hz"]
+    )
+    assert slope == pytest.approx(2.0 * kappa_a, rel=1e-3)
 
 
 def test_bandgap_defaults(capsys):

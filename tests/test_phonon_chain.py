@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmem.errors import NoDefectModeInGap
+from qmem import phonon_chain
+from qmem.errors import LinewidthNotResolved, NoDefectModeInGap
 from qmem.phonon_chain import (
     BASE_IMPEDANCE,
     SOUND_SPEED,
@@ -15,6 +16,8 @@ from qmem.phonon_chain import (
     UnitCell,
     _chain_matrix,
     _chain_segments,
+    _rendered_cell,
+    _transfer_matrix,
     bloch_decay_per_cell,
     dispersion,
     find_band_gaps,
@@ -43,8 +46,6 @@ cells = st.builds(lambda a, b: UnitCell((a, b)), segments, segments)
 def test_dispersion_matches_transfer_matrix_trace():
     cell = reference_mirror_cell()
     freqs = np.linspace(10e6, 300e6, 23)
-    from qmem.phonon_chain import _rendered_cell
-
     matrix = _chain_matrix(_rendered_cell(cell), freqs)
     trace_half = 0.5 * np.real(matrix[:, 0, 0] + matrix[:, 1, 1])
     assert np.allclose(dispersion(cell, freqs), trace_half, rtol=1e-10, atol=1e-10)
@@ -153,6 +154,109 @@ def test_energy_conservation():
 def test_lossless_chain_conserves_energy(chain, freqs):
     t, r = scattering_amplitudes(chain, np.array(freqs))
     assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain=st.builds(ChainSpec, st.integers(0, 20), cells, cells, impedances),
+    freqs=st.lists(st.floats(1e6, 3e8), min_size=1, max_size=20),
+)
+def test_chebyshev_chain_matches_segment_product(chain, freqs):
+    # rounding is measured against the largest entry of
+    # |mirror^N| |defect| |mirror^N|, the size of the terms the product
+    # sums: in a pass band they can cancel to a far smaller matrix
+    f = np.array(freqs)
+    reference = _chain_matrix(_chain_segments(chain), f)
+    matrix = _transfer_matrix(chain, f)
+    n = chain.mirror_cells_per_side
+    mirror = np.abs(_chain_matrix(_rendered_cell(chain.mirror_cell) * n, f)) if n else np.eye(2)
+    defect = np.abs(_chain_matrix(_rendered_cell(chain.defect_cell), f))
+    scale = np.max(mirror @ defect @ mirror, axis=(-2, -1))
+    error = np.max(np.abs(matrix - reference), axis=(-2, -1))
+    assert np.all(error <= 1e-11 * scale)
+
+
+def test_chain_cost_independent_of_mirror_count(monkeypatch):
+    built = []
+    segment_matrices = phonon_chain._segment_matrices
+
+    def counting(segment, f):
+        built.append(segment)
+        return segment_matrices(segment, f)
+
+    monkeypatch.setattr(phonon_chain, "_segment_matrices", counting)
+    counts = {}
+    for n in (1, 10, 100):
+        built.clear()
+        scattering_amplitudes(reference_chain(n), np.linspace(60e6, 140e6, 5))
+        counts[n] = len(built)
+    # three segments for the mirror cell and three for the defect cell
+    assert counts == {1: 6, 10: 6, 100: 6}
+
+
+def _residual_by_segments(chain, f):
+    # h = b/Z - Z c from the plain segment product, independent of the
+    # Chebyshev chain matrix
+    m = _chain_matrix(_chain_segments(chain), np.array([f]))[0]
+    z = chain.termination_impedance
+    return m[0, 1].imag / z - z * m[1, 0].imag
+
+
+def _half_maximum_q(chain, f_mode):
+    from scipy.optimize import brentq
+
+    def edge(direction):
+        step = 1e-9 * f_mode
+        while abs(_residual_by_segments(chain, f_mode + direction * step)) < 2.0:
+            step *= 2.0
+        return brentq(lambda f: abs(_residual_by_segments(chain, f)) - 2.0,
+                      f_mode, f_mode + direction * step, rtol=4 * np.finfo(float).eps)
+
+    return f_mode / (edge(+1) - edge(-1))
+
+
+@pytest.mark.parametrize("builder,window", [
+    (reference_chain, (50e6, 150e6)),
+    (strong_chain, (50e6, 160e6)),
+])
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_radiative_q_matches_half_maximum_edges(builder, window, n):
+    # strong N = 10 (Q ~ 1.3e8) takes the direct 4/|h'| linewidth, the
+    # others the half-maximum edges
+    chain = builder(n)
+    gap = find_band_gaps(chain.mirror_cell, *window, 0.1e6)[0]
+    mode = find_defect_mode(chain, gap)
+    assert mode.radiative_q == pytest.approx(_half_maximum_q(chain, mode.frequency), rel=1e-7)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_direct_linewidth_agrees_with_edges(monkeypatch, n):
+    # strong N = 6 .. 10 spans Q ~ 1.2e5 .. 1.3e8, either side of DIRECT_Q_MIN
+    chain = strong_chain(n)
+    gap = find_band_gaps(chain.mirror_cell, 50e6, 160e6, 0.1e6)[0]
+    monkeypatch.setattr(phonon_chain, "DIRECT_Q_MIN", 0.0)
+    direct = find_defect_mode(chain, gap)
+    monkeypatch.setattr(phonon_chain, "DIRECT_Q_MIN", math.inf)
+    edges = find_defect_mode(chain, gap)
+    assert direct.frequency == edges.frequency
+    assert direct.radiative_q == pytest.approx(edges.radiative_q, rel=1e-7)
+
+
+def test_high_q_linewidth_resolved():
+    # the half-maximum edges at an absolute 1e-3 Hz gave 9.44e10 here
+    chain = strong_chain(14)
+    gap = find_band_gaps(chain.mirror_cell, 50e6, 160e6, 0.1e6)[0]
+    assert find_defect_mode(chain, gap).radiative_q == pytest.approx(1.424e11, rel=1e-3)
+
+
+def test_undefined_slope_is_linewidth_not_resolved(monkeypatch):
+    # a zero difference step leaves h'(f0) = 0/0
+    monkeypatch.setattr(phonon_chain, "SLOPE_STEP", 0.0)
+    chain = strong_chain(10)
+    gap = find_band_gaps(chain.mirror_cell, 50e6, 160e6, 0.1e6)[0]
+    with pytest.raises(LinewidthNotResolved, match="linewidth"):
+        with np.errstate(invalid="ignore"):
+            find_defect_mode(chain, gap)
 
 
 def test_defect_only_chain_reaches_unit_transmission():
