@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyTrace, TimeTrace, angular, read_csv_table
-from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
+from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table
+from .errors import NonDecayingTrace, NoPeakFound
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,6 @@ class RingdownFit:
     residual_norm: float
 
 
-def _fit_uncertainties(result, n_points: int):
-    jac = result.jac
-    dof = max(n_points - jac.shape[1], 1)
-    variance = 2.0 * result.cost / dof
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj) * variance
-        sigma = np.sqrt(np.abs(np.diag(cov)))
-    except np.linalg.LinAlgError:
-        sigma = np.full(jac.shape[1], np.nan)
-    return sigma
-
-
 def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     """Fit |background + A/(1 + 2iQ(f - f0)/f0)| to the trace magnitude.
 
@@ -63,8 +50,6 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     amplitude absorbs the relative phase between peak and background.
     Raises ``NoPeakFound`` when no sample rises above the noise floor.
     """
-    from scipy.optimize import least_squares
-
     if len(trace) < 20:
         raise ValueError("need at least 20 points")
     f = trace.frequencies
@@ -99,25 +84,37 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     q_init = min(max(f0_init / fwhm, 1.0), 1e9)
 
     def model(theta):
+        """Complex model m and its denominator 1 + 2iQ(f - f0)/f0."""
         f0, log_q, re_a, im_a, bg = theta
         denom = 1.0 + 2j * math.exp(log_q) * (f - f0) / f0
-        return np.abs(bg + (re_a + 1j * im_a) / denom)
+        return bg + (re_a + 1j * im_a) / denom, denom
 
     def residuals(theta):
-        return model(theta) - y
+        return np.abs(model(theta)[0]) - y
+
+    def jacobian(theta):
+        # d|m| = Re(conj(m) dm)/|m|, with dm per parameter
+        f0, log_q, re_a, im_a, _ = theta
+        m, denom = model(theta)
+        a_over_denom2 = (re_a + 1j * im_a) / denom**2
+        dm = np.column_stack([
+            a_over_denom2 * 2j * math.exp(log_q) * f / f0**2,
+            -a_over_denom2 * (denom - 1.0),
+            1.0 / denom,
+            1j / denom,
+            np.ones_like(f),
+        ])
+        return np.real(np.conj(m)[:, None] * dm) / np.abs(m)[:, None]
 
     theta0 = np.array([f0_init, math.log(q_init), height, 0.0, bg_init])
     lower = [f[0], math.log(1e-3), -np.inf, -np.inf, 0.0]
     upper = [f[-1], math.log(1e12), np.inf, np.inf, np.inf]
-    result = least_squares(
-        residuals, theta0, bounds=(lower, upper), method="trf",
-        ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
+    result, sigma, _ = fit_least_squares(
+        "Lorentzian", residuals, theta0, jac=jacobian, bounds=(lower, upper),
+        method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
     )
-    if not result.success:
-        raise FitDidNotConverge(f"Lorentzian fit failed: {result.message}")
 
     f0, log_q, re_a, im_a, bg = result.x
-    sigma = _fit_uncertainties(result, len(y))
     q = math.exp(log_q)
     uncertainties = {
         "f0": sigma[0],
@@ -143,8 +140,6 @@ def fit_ringdown(trace: TimeTrace) -> RingdownFit:
     the best-fit tau exceeds 100 times the recorded span; warns when the
     span covers less than two time constants.
     """
-    from scipy.optimize import least_squares
-
     if len(trace) < 20:
         raise ValueError("need at least 20 points")
     t = trace.times - trace.times[0]
@@ -178,12 +173,10 @@ def fit_ringdown(trace: TimeTrace) -> RingdownFit:
         return np.column_stack([a * decay * t / tau, decay, np.ones_like(t)])
 
     theta0 = np.array([math.log(tau_init), a_init, offset_init])
-    result = least_squares(
-        residuals, theta0, jac=jacobian, method="lm",
+    result, sigma, _ = fit_least_squares(
+        "ringdown", residuals, theta0, jac=jacobian, method="lm",
         ftol=1e-15, xtol=1e-15, gtol=1e-15,
     )
-    if not result.success:
-        raise FitDidNotConverge(f"ringdown fit failed: {result.message}")
 
     tau = math.exp(result.x[0])
     if tau > 100.0 * span:
@@ -192,7 +185,6 @@ def fit_ringdown(trace: TimeTrace) -> RingdownFit:
         )
     if span < 2.0 * tau:
         warnings.warn("trace spans less than two time constants", stacklevel=2)
-    sigma = _fit_uncertainties(result, len(y))
     uncertainties = {
         "tau": sigma[0] * tau,
         "initial_amplitude": sigma[1] * y_scale,

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FitDidNotConverge
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -76,6 +78,29 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
     n_th = thermal_occupation(f_hz, temperature_k)
     gamma = angular(f_hz) / quality_factor
     return 1.0 / ((n_th + 1.0) * gamma)
+
+
+def fit_least_squares(name: str, residuals, theta0, *, jac, **options):
+    """Run ``scipy.optimize.least_squares`` with an exact Jacobian ``jac``.
+
+    ``options`` (method, bounds, tolerances, ``x_scale``) pass through.
+    Returns the solver result, the 1-sigma parameter uncertainties and the
+    singular values of J at the solution, all from one SVD of J: the
+    covariance is V S^-2 V^T times the residual variance 2*cost/dof, so a
+    zero singular value leaves its parameters a non-finite sigma.  Raises
+    ``FitDidNotConverge`` naming the fit when the solver fails.
+    """
+    from scipy.optimize import least_squares
+
+    result = least_squares(residuals, theta0, jac=jac, **options)
+    if not result.success:
+        raise FitDidNotConverge(f"{name} fit failed: {result.message}")
+    _, singular_values, vt = np.linalg.svd(result.jac, full_matrices=False)
+    dof = max(result.fun.size - result.x.size, 1)
+    variance = 2.0 * result.cost / dof
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.sqrt(variance * np.sum((vt / singular_values[:, None]) ** 2, axis=0))
+    return result, sigma, singular_values
 
 
 def read_csv_table(path, headers) -> tuple[tuple[str, ...], np.ndarray]:

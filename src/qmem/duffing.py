@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitDidNotConverge, NoBackbonePeak
+from .core import fit_least_squares
+from .errors import NoBackbonePeak
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,28 @@ def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float, n_scan: int = 20
     return (float(lo), float(hi))
 
 
+def _follow_branch(lower: np.ndarray, upper: np.ndarray, start_upper: bool) -> np.ndarray:
+    """Whether each step of a sweep rides the upper branch, starting on it
+    if ``start_upper``; every later step takes the branch nearest the
+    previous amplitude.
+
+    From the upper branch a step lands on upper where ``stay_up``, from
+    the lower one where ``jump_up``.  So a step sets the flag to a
+    constant where the two agree, keeps it where only ``stay_up`` holds
+    and negates it where only ``jump_up`` does (possible in floats when
+    one branch dwarfs the other).  The flag is then the value of the last
+    constant step, flipped once per negation after it.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf where a row has no root
+        stay_up = np.abs(upper[1:] - upper[:-1]) < np.abs(lower[1:] - upper[:-1])
+        jump_up = np.abs(upper[1:] - lower[:-1]) < np.abs(lower[1:] - lower[:-1])
+    constant = np.concatenate([[True], stay_up == jump_up])
+    value = np.concatenate([[start_upper], stay_up])
+    flips = np.cumsum(np.concatenate([[0], ~stay_up & jump_up]))
+    last = np.maximum.accumulate(np.where(constant, np.arange(constant.size), 0))
+    return value[last] ^ ((flips - flips[last]) % 2 == 1)
+
+
 def sweep(
     p: DuffingParams,
     f_start: float,
@@ -178,32 +201,23 @@ def sweep(
     # the response rides the lowest or the highest stable state (the middle
     # of three is unstable); every state counts if none is stable
     keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
-    lower = np.where(keep, states, np.inf).min(axis=1).tolist()
-    upper = np.where(keep, states, -np.inf).max(axis=1).tolist()
+    lower = np.where(keep, states, np.inf).min(axis=1)
+    upper = np.where(keep, states, -np.inf).max(axis=1)
     if direction == "backward":
-        lower.reverse()
-        upper.reverse()
+        lower, upper = lower[::-1], upper[::-1]
 
     # entering from outside the window: the connected branch is the one a
     # sweep from far away would ride in on
-    on_upper = (direction == "forward") == (p.beta > 0.0)
-    amps: list[float] = []
-    labels: list[str] = []
-    for low, high in zip(lower, upper):
-        if amps:
-            # stay on the branch nearest the previous amplitude
-            on_upper = abs(high - amps[-1]) < abs(low - amps[-1])
-        a = high if on_upper else low
-        amps.append(a)
-        labels.append("upper" if a == high else "lower")
+    on_upper = _follow_branch(lower, upper, (direction == "forward") == (p.beta > 0.0))
+    amps = np.where(on_upper, upper, lower)
+    labels = np.where(amps == upper, "upper", "lower")
 
     if direction == "backward":
-        amps.reverse()
-        labels.reverse()
+        amps, labels = amps[::-1], labels[::-1]
     return SweepResult(
         frequencies=freqs,
-        amplitudes=np.array(amps),
-        branch_labels=tuple(labels),
+        amplitudes=amps,
+        branch_labels=tuple(labels.tolist()),
         bistable_range=_bistable_range(p, f_lo, f_hi),
     )
 
@@ -250,8 +264,6 @@ def fit_backbone(points) -> BackboneFit:
     A from the two-point slope between the extreme amplitudes.  The fit
     is covariant under amplitude rescaling a -> s*a (A -> A/s^n).
     """
-    from scipy.optimize import least_squares
-
     pts = [(float(a), float(f)) for a, f in points]
     if len(pts) < 4:
         raise ValueError("need at least 4 points")
@@ -272,16 +284,16 @@ def fit_backbone(points) -> BackboneFit:
         f0, coeff, log_n = theta
         return f0 + coeff * amps ** math.exp(log_n) - freqs
 
-    result = least_squares(
-        residuals,
-        [f0_init, a_init, math.log(n_init)],
-        method="lm",
-        ftol=1e-15,
-        xtol=1e-15,
-        gtol=1e-15,
+    def jacobian(theta):
+        _, coeff, log_n = theta
+        n = math.exp(log_n)
+        power = amps**n
+        return np.column_stack([np.ones_like(amps), power, coeff * power * np.log(amps) * n])
+
+    result, _, _ = fit_least_squares(
+        "backbone", residuals, [f0_init, a_init, math.log(n_init)], jac=jacobian,
+        method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15,
     )
-    if not result.success:
-        raise FitDidNotConverge(f"backbone fit failed: {result.message}")
     f0, coeff, log_n = result.x
     return BackboneFit(
         f0=float(f0),

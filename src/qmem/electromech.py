@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyTrace, angular, read_csv_table
-from .errors import FitDidNotConverge, ResonanceNotInWindow
+from .core import TWO_PI, FrequencyTrace, angular, fit_least_squares, read_csv_table
+from .errors import ResonanceNotInWindow
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,6 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
     ``ResonanceNotInWindow`` when the trace shows no series resonance and
     ``FitDidNotConverge`` when the optimizer fails.
     """
-    from scipy.optimize import least_squares
-
     if len(trace) < 50:
         raise ValueError("need at least 50 points spanning the series resonance")
     guess = _bvd_initial_guess(trace)
@@ -193,11 +191,16 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
         rm = math.exp(theta[3]) if fit_rm else 0.0
         return BvdParams(C0=c0, Cm=cm, Lm=lm, Rm=rm)
 
-    def residuals(theta):
-        c0, cm = np.exp(theta[0]), np.exp(theta[1])
-        omega_s = angular(theta[2])
-        # motional reactance in the pole-position parametrization
+    def reactance(theta):
+        """Motional reactance x_m in the pole-position parametrization, and
+        its derivatives by log Cm and by the series resonance in Hz."""
+        cm, omega_s = np.exp(theta[1]), angular(theta[2])
         x_m = (omega**2 - omega_s**2) / (omega * omega_s**2 * cm)
+        return x_m, -x_m, -2.0 * TWO_PI * omega / (omega_s**3 * cm)
+
+    def residuals(theta):
+        c0 = np.exp(theta[0])
+        x_m = reactance(theta)[0]
         if fit_rm:
             y = 1j * omega * c0 + 1.0 / (math.exp(theta[3]) + 1j * x_m)
             return np.concatenate([
@@ -207,16 +210,31 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
         b = omega * c0 - 1.0 / x_m
         return (b - np.imag(y_data)) / scale
 
+    def jacobian(theta):
+        c0 = math.exp(theta[0])
+        x_m, dx_log_cm, dx_f_s = reactance(theta)
+        if fit_rm:
+            rm = math.exp(theta[3])
+            # dY = -dZ/Z^2 for the motional branch Z = Rm + i x_m
+            inv_z2 = 1.0 / (rm + 1j * x_m) ** 2
+            dy = np.column_stack([
+                1j * omega * c0,
+                -1j * dx_log_cm * inv_z2,
+                -1j * dx_f_s * inv_z2,
+                -rm * inv_z2,
+            ]) / scale[:, None]
+            return np.concatenate([np.imag(dy), np.real(dy)])
+        inv_x2 = 1.0 / x_m**2
+        return np.column_stack([omega * c0, dx_log_cm * inv_x2, dx_f_s * inv_x2]) / scale[:, None]
+
     theta0 = [math.log(guess.C0), math.log(guess.Cm), guess.series_resonance_hz]
     if fit_rm:
         # start at Q ~ 1e6, tiny next to the motional reactance scale
         theta0.append(math.log(1e-6 * guess.Lm * angular(guess.series_resonance_hz)))
-    result = least_squares(
-        residuals, theta0, method="lm",
+    result, _, _ = fit_least_squares(
+        "BVD", residuals, theta0, jac=jacobian, method="lm",
         ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=5000,
     )
-    if not result.success:
-        raise FitDidNotConverge(f"BVD fit failed: {result.message}")
     return unpack(result.x)
 
 

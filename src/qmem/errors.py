@@ -39,6 +39,10 @@ class NoDefectModeInGap(ComputationError):
     """No localized mode found inside the requested band gap."""
 
 
+class ChainMatrixOverflow(ComputationError):
+    """Chain transfer matrix overflows the float range (very long mirrors)."""
+
+
 class LinewidthNotResolved(ComputationError):
     """Resonance too narrow for the half-maximum search to resolve."""
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import angular, read_csv_table
-from .errors import DegenerateJacobian, FitDidNotConverge
+from .core import angular, fit_least_squares, read_csv_table
+from .errors import DegenerateJacobian
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,21 @@ def _unpack(stack: LossStack, names, theta) -> LossStack:
     return LossStack(tuple(type(ch)(**kw) for ch, kw in zip(stack.channels, fields)))
 
 
+def _channel_gradient(channel: Channel, f_hz: float, temperatures: np.ndarray):
+    """A channel's Q^-1 over ``temperatures`` and its derivatives by the
+    packed parameters: log space for the scale parameters, linear for
+    activation_temp and exponent."""
+    q_inv = np.broadcast_to(channel.q_inverse(f_hz, temperatures), temperatures.shape)
+    if isinstance(channel, ZenerChannel):
+        # Q^-1 = delta/(2 cosh x) with x = ln(omega*tau0) + T_a/T
+        x = math.log(angular(f_hz) * channel.tau0) + channel.activation_temp / temperatures
+        dq_dx = -q_inv * np.tanh(x)
+        return q_inv, {"delta": q_inv, "tau0": dq_dx, "activation_temp": dq_dx / temperatures}
+    if isinstance(channel, PowerLawChannel):
+        return q_inv, {"coefficient": q_inv, "exponent": q_inv * np.log(temperatures)}
+    return q_inv, {"q_value": -q_inv}
+
+
 @dataclass(frozen=True)
 class LossStackFit:
     """Fitted stack with 1-sigma uncertainties per channel parameter."""
@@ -242,8 +257,6 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
     initial guess.  Raises ``FitDidNotConverge`` or, for unidentifiable
     templates, ``DegenerateJacobian``.
     """
-    from scipy.optimize import least_squares
-
     names, theta0, lower = _pack(template)
     n_params = len(names)
     if len(data) < 2 * n_params:
@@ -259,21 +272,19 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
         model = total_q_inverse(stack, f_hz, data.temperatures)
         return (np.log(model) - log_qinv_data) / sigma_log
 
-    result = least_squares(
-        residuals, theta0, bounds=(lower, np.inf), method="trf",
-        ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
-    )
-    if not result.success:
-        raise FitDidNotConverge(f"loss-stack fit failed: {result.message}")
+    def jacobian(theta):
+        stack = _unpack(template, names, theta)
+        grads = [_channel_gradient(ch, f_hz, data.temperatures) for ch in stack.channels]
+        model = sum(q_inv for q_inv, _ in grads)
+        columns = [grads[idx][1][attr] for idx, attr, _ in names]
+        return np.column_stack(columns) / (model * sigma_log)[:, None]
 
-    jac = result.jac
-    sv = np.linalg.svd(jac, compute_uv=False)
+    result, sigma_theta, sv = fit_least_squares(
+        "loss-stack", residuals, theta0, jac=jacobian, bounds=(lower, np.inf),
+        method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
+    )
     if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-10:
         raise DegenerateJacobian("loss-stack template parameters are not identifiable")
-    dof = max(len(data) - n_params, 1)
-    variance = 2.0 * result.cost / dof
-    cov = np.linalg.inv(jac.T @ jac) * variance
-    sigma_theta = np.sqrt(np.diag(cov))
 
     fitted = _unpack(template, names, result.x)
     uncertainties: list[dict] = [dict() for _ in template.channels]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import angular
-from .errors import LinewidthNotResolved, NoDefectModeInGap
+from .errors import ChainMatrixOverflow, LinewidthNotResolved, NoDefectModeInGap
 
 # samples of the resonance residual across a gap when bracketing modes
 MODE_SCAN_POINTS = 4001
@@ -303,14 +303,22 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     at f0.
 
     Raises ``NoDefectModeInGap`` when the gap holds no resonance (peak
-    transmission below 10x the mid-gap floor), and
-    ``LinewidthNotResolved`` when h'(f0) is not finite or is zero.
+    transmission below 10x the mid-gap floor), ``ChainMatrixOverflow``
+    when h overflows anywhere on the scan (mirrors of some 390 strong
+    cells per side), and ``LinewidthNotResolved`` when h'(f0) is not
+    finite or is zero.
     """
     from scipy.optimize import brentq
 
     margin = 0.01 * (gap.f_high - gap.f_low)
     freqs = np.linspace(gap.f_low + margin, gap.f_high - margin, MODE_SCAN_POINTS)
-    h = _resonance_residual(chain, freqs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _resonance_residual(chain, freqs)
+    if not np.all(np.isfinite(h)):
+        raise ChainMatrixOverflow(
+            f"chain transfer matrix overflows in [{gap.f_low:.6g}, {gap.f_high:.6g}] Hz "
+            f"with {chain.mirror_cells_per_side} mirror cells per side"
+        )
 
     # mid-gap shielding floor: transmission of the same chain with the
     # defect replaced by one more mirror cell

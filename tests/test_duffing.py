@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qmem.duffing import (
     BackboneFit,
     DuffingParams,
+    _bistable_range,
     _cubic_coefficients,
+    _follow_branch,
     _steady_states,
     backbone,
     fit_backbone,
@@ -316,6 +318,74 @@ def test_sweep_properties(p, data):
         margin = 2e-6 * p.f0  # the edges are refined to 1e-6 f0
         outside = (fwd.frequencies < edge_lo - margin) | (fwd.frequencies > edge_hi + margin)
     np.testing.assert_array_equal(fwd.amplitudes[outside], bwd.amplitudes[outside])
+
+
+def _branch_loop(lower, upper, on_upper):
+    """The scalar branch-following loop that ``sweep`` replaces with array
+    code: start on the upper branch if ``on_upper``, then take the branch
+    nearest the previous amplitude.  Returns amplitudes and labels."""
+    amps, labels = [], []
+    for low, high in zip(lower, upper):
+        if amps:
+            on_upper = abs(high - amps[-1]) < abs(low - amps[-1])
+        a = high if on_upper else low
+        amps.append(a)
+        labels.append("upper" if a == high else "lower")
+    return amps, labels
+
+
+def _sweep_reference(p, f_start, f_end, direction, n_points):
+    """``sweep`` with the scalar loop: amplitudes, branch labels and
+    bistable range."""
+    f_lo, f_hi = min(f_start, f_end), max(f_start, f_end)
+    freqs = np.linspace(f_lo, f_hi, n_points)
+    states, stable = _steady_states(p, freqs)
+    keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
+    lower = np.where(keep, states, np.inf).min(axis=1).tolist()
+    upper = np.where(keep, states, -np.inf).max(axis=1).tolist()
+    if direction == "backward":
+        lower.reverse()
+        upper.reverse()
+    amps, labels = _branch_loop(lower, upper, (direction == "forward") == (p.beta > 0.0))
+    if direction == "backward":
+        amps.reverse()
+        labels.reverse()
+    return np.array(amps), tuple(labels), _bistable_range(p, f_lo, f_hi)
+
+
+# branch pairs lower <= upper over many scales, so that in floats a step
+# can swap branches, plus the (inf, -inf) of a frequency with no root
+branch_values = st.one_of(st.floats(0.0, 10.0), st.floats(1e15, 1e20))
+branch_pairs = st.one_of(
+    st.tuples(branch_values, branch_values).map(sorted),
+    st.just([math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(branch_pairs, min_size=1, max_size=30), start_upper=st.booleans())
+def test_branch_follower_matches_scalar_loop(pairs, start_upper):
+    lower, upper = (np.array(column) for column in zip(*pairs))
+    amps, _ = _branch_loop(lower.tolist(), upper.tolist(), start_upper)
+    on_upper = _follow_branch(lower, upper, start_upper)
+    np.testing.assert_array_equal(np.where(on_upper, upper, lower), amps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=driven_params(factors=st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+    data=st.data(),
+    direction=st.sampled_from(("forward", "backward")),
+    n_points=st.integers(1, 401),
+)
+def test_sweep_matches_scalar_branch_loop(p, data, direction, n_points):
+    # stiffening and softening, zero drive included, either direction
+    lo, hi = _window(p, data)
+    result = sweep(p, lo, hi, direction, n_points=n_points)
+    amps, labels, bistable = _sweep_reference(p, lo, hi, direction, n_points)
+    np.testing.assert_array_equal(result.amplitudes, amps)
+    assert result.branch_labels == labels
+    assert result.bistable_range == bistable
 
 
 @settings(max_examples=25, deadline=None)

@@ -121,6 +121,25 @@ def test_fit_bvd_lossless_rm_consistent_with_zero(paper_bvd):
     assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=1e-3)
 
 
+@pytest.mark.parametrize("fit_rm", [False, True])
+@pytest.mark.parametrize("s", [7.3, 1e-3, 2.5e4])
+def test_fit_bvd_amplitude_rescaling_covariance(paper_bvd, s, fit_rm):
+    # Y -> s Y is the same circuit with C0, Cm (and 1/Lm, 1/Rm) times s
+    if fit_rm:
+        lossy = BvdParams(paper_bvd.C0, paper_bvd.Cm, paper_bvd.Lm, Rm=17.2e3)
+        f = np.linspace(98.49e6, 98.61e6, 801)
+        rng = np.random.default_rng(1)
+        trace = FrequencyTrace(f, bvd_admittance(lossy, f) * (1.0 + 1e-3 * rng.standard_normal(801)))
+    else:
+        trace = synthetic_trace(paper_bvd, n=801, noise=1e-3, seed=42)
+    fit = fit_bvd(trace, fit_rm=fit_rm)
+    scaled = fit_bvd(FrequencyTrace(trace.frequencies, s * trace.response), fit_rm=fit_rm)
+    assert scaled.C0 == pytest.approx(s * fit.C0, rel=1e-9)
+    assert scaled.Cm == pytest.approx(s * fit.Cm, rel=1e-9)
+    assert scaled.Lm == pytest.approx(fit.Lm / s, rel=1e-9)
+    assert scaled.Rm == pytest.approx(fit.Rm / s, rel=1e-9)
+
+
 def test_coupling_rate_fluxonium(paper_bvd, fluxonium_shunt):
     g = coupling_rate_gsm(paper_bvd, fluxonium_shunt)
     assert 100e3 < g < 110e3

@@ -1,6 +1,7 @@
 """The package imports scipy and jsonschema only inside the functions
 that call them, so ``import qmem.cli`` and commands that need neither
-(``qmem couple``) do not pay for loading them."""
+(``qmem couple``) do not pay for loading them.  Every fit goes through
+the one least-squares helper, with an exact Jacobian."""
 
 import ast
 import json
@@ -45,6 +46,66 @@ def test_top_level_import_finder_sees_nested_statements():
         "def f():\n    from scipy.optimize import brentq\n"
     )
     assert sorted(_top_level_imports(tree)) == ["jsonschema", "scipy", "scipy"]
+
+
+HELPER = ("core.py", "fit_least_squares")
+FITS = {
+    ("analysis.py", "fit_lorentzian"),
+    ("analysis.py", "fit_ringdown"),
+    ("electromech.py", "fit_bvd"),
+    ("losses.py", "fit_loss_stack"),
+    ("duffing.py", "fit_backbone"),
+}
+
+
+def _named_nodes(tree, name):
+    """(outermost function, node) for each import of ``name`` and each call
+    of it, by bare name or attribute; the function is None at module level."""
+    stack = [(None, node) for node in tree.body]
+    while stack:
+        owner, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == name for alias in node.names):
+                yield owner, node
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                yield owner, node
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
+def _package_nodes(name):
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _named_nodes(ast.parse(path.read_text()), name):
+            yield path.name, owner, node
+
+
+def test_least_squares_only_inside_the_fit_helper():
+    places = {(module, owner) for module, owner, _ in _package_nodes("least_squares")}
+    assert places == {HELPER}
+
+
+def test_every_fit_passes_the_helper_an_exact_jacobian():
+    calls = [
+        (module, owner, node) for module, owner, node in _package_nodes(HELPER[1])
+        if isinstance(node, ast.Call)
+    ]
+    assert {(module, owner) for module, owner, _ in calls} == FITS
+    for module, owner, call in calls:
+        jac = [kw.value for kw in call.keywords if kw.arg == "jac"]
+        # a function, not a finite-difference scheme such as "2-point"
+        assert len(jac) == 1 and isinstance(jac[0], ast.Name), (module, owner)
+
+
+def test_named_node_finder_sees_nested_calls():
+    tree = ast.parse(
+        "from scipy.optimize import least_squares\n"
+        "def f():\n    def g():\n        return opt.least_squares(r, x)\n"
+        "class A:\n    def m(self):\n        least_squares(r, x)\n"
+    )
+    assert sorted(owner or "" for owner, _ in _named_nodes(tree, "least_squares")) == ["", "f", "m"]
 
 
 def test_couple_loads_no_scipy(data_dir):

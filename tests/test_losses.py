@@ -201,6 +201,48 @@ def test_fit_two_channel_noisy_within_three_sigma():
             assert abs(value - expected) < 3.0 * s + 1e-12 * abs(expected), name
 
 
+def _scaled_q_inverse(stack, s):
+    """The stack with every channel's Q^-1 divided by s."""
+    channels = []
+    for ch in stack.channels:
+        if isinstance(ch, ZenerChannel):
+            channels.append(dataclasses.replace(ch, delta=ch.delta / s))
+        elif isinstance(ch, PowerLawChannel):
+            channels.append(dataclasses.replace(ch, coefficient=ch.coefficient / s))
+        else:
+            channels.append(ConstantChannel(ch.q_value * s))
+    return LossStack(tuple(channels))
+
+
+@pytest.mark.parametrize("s", [7.3, 1e-3, 2.5e4])
+def test_fit_amplitude_rescaling_covariance(s):
+    # Q -> s Q with the template rescaled to match gives the fitted stack
+    # rescaled the same way: the scale parameters move, the shapes do not
+    f = 97.5e6
+    truth = LossStack((
+        peaked_zener(f, 40.0, delta=4e-5),
+        PowerLawChannel(coefficient=2e-10, exponent=4.0),
+        ConstantChannel(1.1e6),
+    ))
+    template = LossStack((
+        peaked_zener(f, 36.0, delta=2e-5),
+        PowerLawChannel(coefficient=5e-10, exponent=3.7),
+        ConstantChannel(0.77e6),
+    ))
+    temps = np.geomspace(4.0, 300.0, 40)
+    data = make_dataset(truth, f, temps, noise=2e-3, seed=3)
+    scaled_data = QvsTDataset(temps, s * data.q_values, s * data.sigma_q)
+    fit = fit_loss_stack(data, f, template)
+    scaled = fit_loss_stack(scaled_data, f, _scaled_q_inverse(template, s))
+    q_fit = total_q(fit.stack, f, temps)
+    np.testing.assert_allclose(total_q(scaled.stack, f, temps), s * q_fit, rtol=1e-9)
+    expected = _scaled_q_inverse(fit.stack, s)
+    for got, want in zip(scaled.stack.channels, expected.channels):
+        for name, value in dataclasses.asdict(want).items():
+            assert getattr(got, name) == pytest.approx(value, rel=1e-9), name
+    assert scaled.residual_norm == pytest.approx(fit.residual_norm, rel=1e-9)
+
+
 def test_fit_requires_enough_points():
     f = 1e8
     template = LossStack((

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmem import phonon_chain
-from qmem.errors import LinewidthNotResolved, NoDefectModeInGap
+from qmem.errors import ChainMatrixOverflow, LinewidthNotResolved, NoDefectModeInGap
 from qmem.phonon_chain import (
     BASE_IMPEDANCE,
     SOUND_SPEED,
@@ -328,6 +328,16 @@ def test_no_defect_mode_for_uniform_chain():
     chain = ChainSpec(5, cell, cell, cell.segments[0].acoustic_impedance)
     gap = find_band_gaps(cell, 50e6, 150e6, 0.1e6)[0]
     with pytest.raises(NoDefectModeInGap):
+        find_defect_mode(chain, gap)
+
+
+@pytest.mark.parametrize("n", [400, 450, 800])
+def test_overflowing_chain_matrix_is_named(n):
+    # these raised NoDefectModeInGap ("peak/floor = nan") at 400 and 800
+    # and scipy's "xtol too small" at 450
+    chain = strong_chain(n)
+    gap = find_band_gaps(chain.mirror_cell, 50e6, 160e6, 0.1e6)[0]
+    with pytest.raises(ChainMatrixOverflow, match=f"{n} mirror cells"):
         find_defect_mode(chain, gap)
 
 
