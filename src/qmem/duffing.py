@@ -81,14 +81,14 @@ def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.
     of the real positive roots u of the amplitude cubic, ascending and
     padded with NaN to shape (n, 3), and the mask of the stable ones (see
     ``steady_state_amplitudes``).  The cubics are solved as eigenvalues of
-    companion matrices built as ``np.roots`` builds them.  With zero drive
-    the resonator rests at a = 0.
+    companion matrices built as ``np.roots`` builds them.  With zero drive,
+    or a drive whose square underflows, the resonator rests at a = 0.
     """
     if np.any(freqs <= 0.0):
         raise ValueError("drive frequency must be positive")
     c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
     u = np.full((freqs.size, 3), np.nan)
-    if p.drive == 0.0:
+    if c0 == 0.0:
         u[:, 0] = 0.0
     elif c3 == 0.0:
         u[:, 0] = -c0 / c1  # linear response

@@ -306,7 +306,9 @@ class DensityMatrix:
 
     Validates hermiticity (1e-10), unit trace (1e-9), and positivity
     (eigenvalue floor -1e-9) at construction, so every final state that
-    ``evolve`` and ``iswap`` return carries those guarantees.
+    ``evolve`` and ``iswap`` return carries those guarantees.  Their
+    propagator averages each entry with the conjugate of its transpose
+    partner, so the states it returns are exactly Hermitian.
     """
 
     dims: tuple[int, ...]
@@ -370,80 +372,62 @@ def _jump_operators(dims, decay: list, dephase: list) -> list:
             + [(2.0 * g, a.T @ a) for g, a in zip(dephase, lowering) if g > 0.0])
 
 
-def _closure(links: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Indices reachable from the boolean mask ``reach``, where index j
-    reaches index i when ``links[i, j]``."""
-    while not np.array_equal(grown := reach | np.any(links[:, reach], axis=1), reach):
-        reach = grown
-    return np.flatnonzero(reach)
-
-
 def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
-    """(idx, keep, L): the basis states of the invariant subspace of
-    ``rho0``, the entries of the row-major vec(rho) on it that the
-    evolution reaches, and the Lindbladian (rad/s) on those entries, with
-    vec(A rho B) = (A kron B^T) vec(rho).
+    """(a, b, L): the entries rho[a, b] that the evolution of ``rho0``
+    reaches and the Lindbladian (rad/s) on them.
 
-    The subspace is the fewest basis states that hold the support of
-    ``rho0`` and are closed under the nonzero patterns of H, of every
-    jump operator C and of every C^dag C, so every Lindblad term maps
-    operators on it into it and the restriction is exact.  For the RWA
-    Hamiltonian it is the excitation manifolds at or below those
-    ``rho0`` occupies; a dense H makes it the whole space.  The same
-    closure over the pattern of L then drops coherences that are never
-    reached, such as those between manifolds when ``rho0`` has none."""
-    # index j reaches index i when some generator has a nonzero (i, j) entry
-    links = (h_hz != 0) | (h_hz.T != 0)
-    for _, op in jumps:
-        links |= (op != 0) | ((op.conj().T @ op) != 0)
-    idx = _closure(links, np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
-    block = np.ix_(idx, idx)
-    h = h_hz[block]
-    eye = np.eye(len(idx))
-    out = -1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, op in jumps:
-        # on a closed subspace C^dag C restricts to C^dag C of the restricted C
-        op = op[block]
-        op_dag_op = op.conj().T @ op
-        out += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(op_dag_op, eye)
-                       - 0.5 * np.kron(eye, op_dag_op.T))
-    keep = _closure(out != 0, rho0[block].reshape(-1) != 0)
-    return idx, keep, out[np.ix_(keep, keep)]
+    The generator is K rho + rho K^dag + sum rate C rho C^dag with
+    K = -2 pi i H - 1/2 sum rate C^dag C, a sum of terms X rho Y^T for
+    the pairs (X, Y) = (K, I), (I, conj K) and (rate C, conj C).  Entry
+    (p, q) feeds entry (i, j) through a term when X[i, p] Y[j, q] != 0,
+    so the reached entries are the fixed point of
+    R <- R | sum pat(X) R pat(Y)^T from the support of ``rho0`` and its
+    transpose, and on them L is the sum of X[a][:, a] * Y[b][:, b], the
+    rows and columns of X kron Y at those entries.  The pairs come in
+    conjugates, so R is symmetric.  Under the RWA Hamiltonian R keeps the excitation-number
+    differences of ``rho0``'s entries; a dense H reaches every entry."""
+    k = -1j * TWO_PI * h_hz - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in jumps)
+    eye = np.eye(len(h_hz))
+    terms = [(k, eye), (eye, k.conj())] + [(rate * op, op.conj()) for rate, op in jumps]
+    pats = [((x != 0).astype(float), (y != 0).T.astype(float)) for x, y in terms]
+    reach = (rho0 != 0) | (rho0.T != 0)
+    while not np.array_equal(grown := reach | (sum(x @ reach @ y for x, y in pats) > 0), reach):
+        reach = grown
+    a, b = np.nonzero(reach)
+    return a, b, sum(x[a][:, a] * y[b][:, b] for x, y in terms)
 
 
-def _propagate(idx: np.ndarray, keep: np.ndarray, liouvillian: np.ndarray,
+def _propagate(a: np.ndarray, b: np.ndarray, liouvillian: np.ndarray,
                rho0: np.ndarray, duration: float, n_records: int):
-    """(times, records, final): the states on the subspace ``idx`` at
-    linspace(0, duration, n_records) and the full-space state at
-    ``duration``, from ``_restrict``'s entries ``keep`` and L on them.
-    Record k is P^k rho0 with P = exp(L dt) the step propagator over the
-    record spacing, so the final state is the last of two or more
-    records, and exp(L duration) rho0 otherwise."""
+    """(times, records, final): the entries rho[a, b] at
+    linspace(0, duration, n_records), one row per record, and the
+    full-space state at ``duration``, from ``_restrict``'s entries and L
+    on them.  Record k is P^k rho0 with P = exp(L dt) the step propagator
+    over the record spacing, so the final state is the last of two or
+    more records, and exp(L duration) rho0 otherwise."""
     from scipy.linalg import expm
 
-    block = np.ix_(idx, idx)
-    n = len(idx)
     times = np.linspace(0.0, duration, n_records)
-    vecs = np.empty((n_records + 1, len(keep)), dtype=complex)  # records, then final
-    vecs[0] = rho0[block].reshape(-1)[keep]
+    vecs = np.empty((n_records + 1, len(a)), dtype=complex)  # records, then final
+    vecs[0] = rho0[a, b]
     if n_records >= 2:
         # doubling: P^m maps records 0..m-1 onto records m..2m-1
         filled, power = 1, expm(liouvillian * times[1])
         while filled < n_records:
             take = min(filled, n_records - filled)
-            vecs[filled:filled + take] = vecs[:take] @ power.T
+            np.matmul(vecs[:take], power.T, out=vecs[filled:filled + take])
             filled += take
             power = power @ power
         vecs[-1] = vecs[-2]
     else:
         vecs[-1] = expm(liouvillian * duration) @ vecs[0]
-    states = np.zeros((n_records + 1, n * n), dtype=complex)
-    states[:, keep] = vecs
-    states = states.reshape(-1, n, n)
-    states = 0.5 * (states + states.conj().transpose(0, 2, 1))  # discard roundoff antihermiticity
+    # discard roundoff antihermiticity: the reached set is symmetric, so
+    # its entries in column-major order are the transposes of (a, b)
+    vecs += vecs[:, np.lexsort((a, b))].conj()
+    vecs *= 0.5
     final = np.zeros_like(rho0)
-    final[block] = states[-1]
-    return times, states[:n_records], final
+    final[a, b] = vecs[-1]
+    return times, vecs[:n_records], final
 
 
 def evolve(
@@ -462,10 +446,11 @@ def evolve(
     of ``rho0.dims`` (lowering-operator dissipators); optional
     ``dephasing_rates`` add number-operator dissipators producing pure
     dephasing at the given rates.  The generator is constant, so the
-    state is propagated exactly, rho(t) = exp(L t) rho0, on the invariant
-    subspace of rho0 (``_restrict``), where the dense Liouvillian
-    has n^4 entries for n states.  ``dt`` sets no step: it is only a
-    precondition, dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
+    state is propagated exactly, rho(t) = exp(L t) rho0, on the m
+    entries of rho that the evolution reaches from rho0 (``_restrict``),
+    where L is a dense m x m matrix; every other entry stays zero.
+    ``dt`` sets no step: it is only a precondition,
+    dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
 
     ``snapshots`` holds exactly ``n_records`` states at
     linspace(0, duration, n_records); ``final`` is always the state at
@@ -496,10 +481,10 @@ def evolve(
                 f"dt = {dt:.3g} s exceeds 0.01/max(|H|/h, Gamma) = {dt_max:.3g} s"
             )
 
-    idx, keep, liouvillian = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
-    times, records, final = _propagate(idx, keep, liouvillian, rho0.matrix, duration, n_records)
+    a, b, liouvillian = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
+    times, records, final = _propagate(a, b, liouvillian, rho0.matrix, duration, n_records)
     snapshots = np.zeros((n_records,) + final.shape, dtype=complex)
-    snapshots[:, idx[:, None], idx] = records
+    snapshots[:, a, b] = records
     return EvolutionResult(final=DensityMatrix(dims, final), times=times, snapshots=snapshots)
 
 
@@ -599,31 +584,37 @@ def iswap(
         decay = [0.0, 0.0]
         dephasing = [0.0, 0.0]
 
-    idx, keep, liouvillian = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
+    a, b, liouvillian = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
     # run past the nominal gate time so the first transfer maximum is
     # bracketed by recorded samples
     window = max(gate_time, 1.25 / (4.0 * eff.g_eff))
-    times, records, _ = _propagate(idx, keep, liouvillian, rho0.matrix, window, n_records)
-    # product-level populations down the records, zero off the subspace
+    times, records, _ = _propagate(a, b, liouvillian, rho0.matrix, window, n_records)
+    # product-level populations down the records, zero where never reached
+    diagonal = a == b
     pops = np.zeros((len(times), len(h)))
-    pops[:, idx] = np.real(np.diagonal(records, axis1=1, axis2=2))
+    pops[:, a[diagonal]] = np.real(records[:, diagonal])
     pop_e0 = pops[:, np.ravel_multi_index((1, 0), dims)]
     pop_g1 = pops[:, np.ravel_multi_index((0, 1), dims)]
     transfer_time = _first_maximum(times, pop_g1)
 
     # state and populations are reported at the gate time itself
-    rho_final = DensityMatrix(dims, _propagate(idx, keep, liouvillian, rho0.matrix, gate_time, 0)[2])
+    rho_final = DensityMatrix(dims, _propagate(a, b, liouvillian, rho0.matrix, gate_time, 0)[2])
     populations = _populations(rho_final)
 
     if rho0.purity > 1.0 - 1e-6:
-        # the ideal unitary evolution of a pure rho0 stays on the subspace too
+        # the ideal unitary evolution of a pure rho0 stays on the states
+        # idx that the reached entries touch, which H maps into themselves
+        idx = np.union1d(a, b)
         block = np.ix_(idx, idx)
         psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
         energies, basis = np.linalg.eigh(h[block])
         coeffs = basis.conj().T @ psi0
         phases = np.exp(-1j * TWO_PI * np.outer(times, energies))
         ideal = (phases * coeffs) @ basis.T
-        fidelity = np.real(np.einsum("ti,tij,tj->t", ideal.conj(), records, ideal))
+        # <ideal| rho |ideal> over the reached entries
+        dense = np.zeros((len(times), len(idx), len(idx)), dtype=complex)
+        dense[:, np.searchsorted(idx, a), np.searchsorted(idx, b)] = records
+        fidelity = np.real(np.einsum("ti,tij,tj->t", ideal.conj(), dense, ideal))
         psi_gate = basis @ (np.exp(-1j * TWO_PI * energies * gate_time) * coeffs)
         swap_fidelity = float(np.real(psi_gate.conj() @ rho_final.matrix[block] @ psi_gate))
     else:

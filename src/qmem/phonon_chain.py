@@ -266,9 +266,15 @@ def scattering_amplitudes(chain: ChainSpec, f_hz):
 
 
 def transmission(chain: ChainSpec, f_hz):
-    """Power transmission |t|^2 through the chain between matched ends."""
-    t, _ = scattering_amplitudes(chain, f_hz)
-    return np.abs(t) ** 2 if not np.isscalar(f_hz) else abs(t) ** 2
+    """Power transmission |t|^2 = 1/(1 + h^2/4) between matched ends:
+    exact for the lossless symmetric chains ``ChainSpec`` builds, and at
+    most 1 even at high-Q modes, where t = 2/denom cancels large terms."""
+    f = np.atleast_1d(np.asarray(f_hz, dtype=float))
+    if np.any(f <= 0.0):
+        raise ValueError("frequencies must be positive")
+    with np.errstate(over="ignore"):  # h^2 = inf transmits 0
+        power = 1.0 / (1.0 + 0.25 * _resonance_residual(chain, f) ** 2)
+    return float(power[0]) if np.isscalar(f_hz) else power
 
 
 def _resonance_residual(chain: ChainSpec, f: np.ndarray) -> np.ndarray:

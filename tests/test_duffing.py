@@ -225,6 +225,15 @@ def test_undriven_sweep_rests_at_zero():
         assert result.bistable_range is None
 
 
+def test_drive_whose_square_underflows_rests_at_zero():
+    # drive**2 underflows to 0: the amplitude cubic has a zero constant
+    # term, and the response was lost ([] and [-inf, inf, inf])
+    p = DuffingParams(97e6, 1e4, 2e21, 1e-170)
+    assert steady_state_amplitudes(p, 97e6) == [(0.0, True)]
+    result = sweep(p, 96.9e6, 97.1e6, n_points=3)
+    assert result.amplitudes.tolist() == [0.0, 0.0, 0.0]
+
+
 def _onset(f0, q, beta):
     """Drive at the onset of bistability."""
     return math.sqrt(32.0 * (f0**2 / q) ** 3 / (9.0 * math.sqrt(3.0) * abs(beta)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,9 +472,28 @@ def test_write_subspace_independent_of_cutoff(d_m):
     h = build_rwa_hamiltonian(eff, dims)
     rho0 = DensityMatrix.basis(dims, (1, 0))
     jumps = dynamics._jump_operators(dims, [1e4, 1e3], [1e3, 1e2])
-    indices = dynamics._restrict(rho0.matrix, h, jumps)[0]
+    a, b, _ = dynamics._restrict(rho0.matrix, h, jumps)
+    indices = np.union1d(a, b)
     expected = sorted(int(np.ravel_multi_index(level, dims)) for level in ((0, 0), (1, 0), (0, 1)))
     assert indices.tolist() == expected
+
+
+def test_mixed_state_reaches_only_coherences_within_manifolds():
+    # the maximally mixed state on (2, 20) reaches 78 of the 1,600
+    # entries of rho; a Liouvillian on all 40 states holds 1,600^2
+    # complex entries, 41 MB for each matrix built
+    dims = (2, 20)
+    eff = effective_coupling(paper_system(), paper_drive())
+    h = build_rwa_hamiltonian(eff, dims)
+    rho0 = DensityMatrix(dims, np.eye(40) / 40)
+    tracemalloc.start()
+    try:
+        result = evolve(rho0, h, [3e4, 1e4], 1.0 / (4.0 * eff.g_eff), dephasing_rates=[2e4, 5e3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.count_nonzero(result.final.matrix) <= 78
 
 
 @pytest.mark.parametrize("n_records", [0, 1, 2, 1001])

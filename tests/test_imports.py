@@ -1,7 +1,9 @@
 """The package imports scipy and jsonschema only inside the functions
 that call them, so ``import qmem.cli`` and commands that need neither
 (``qmem couple``) do not pay for loading them.  Every fit goes through
-the one least-squares helper, with an exact Jacobian."""
+the one least-squares helper, with an exact Jacobian, and the Lindbladian
+is gathered on the reached entries of rho, never built by Kronecker
+products."""
 
 import ast
 import json
@@ -97,6 +99,11 @@ def test_every_fit_passes_the_helper_an_exact_jacobian():
         jac = [kw.value for kw in call.keywords if kw.arg == "jac"]
         # a function, not a finite-difference scheme such as "2-point"
         assert len(jac) == 1 and isinstance(jac[0], ast.Name), (module, owner)
+
+
+def test_kron_only_embeds_single_mode_operators():
+    places = {(module, owner) for module, owner, _ in _package_nodes("kron")}
+    assert places == {("dynamics.py", "_embed")}
 
 
 def test_named_node_finder_sees_nested_calls():
