@@ -14,6 +14,9 @@ null for a quantity that is infinite or undefined; ``--out``
 writes the detailed arrays as CSV (or JSON with ``--format json``).
 Exit codes: 0 success, 1 computation or fit failure, 2 usage, IO, or
 configuration error (``EXIT_CODES`` maps exception types to codes).
+Each subcommand imports numpy and the library modules it calls once its
+configuration has loaded, so ``import qmem.cli``, ``--help`` and a bad
+config load neither.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import analysis, duffing, dynamics, electromech, losses, phonon_chain, photoelastic
 from .errors import ComputationError, ConfigError, NoDefectModeInGap, QmemError
 
 log = logging.getLogger("qmem")
@@ -196,6 +196,7 @@ def _require(config: dict, section: str) -> dict:
 
 
 def _bvd_from(config: dict) -> electromech.BvdParams:
+    from . import electromech
     section = _require(config, "bvd")
     return electromech.BvdParams(
         C0=section["C0_F"], Cm=section["Cm_F"], Lm=section["Lm_H"],
@@ -204,6 +205,7 @@ def _bvd_from(config: dict) -> electromech.BvdParams:
 
 
 def _shunt_from(config: dict) -> electromech.ShuntCircuit:
+    from . import electromech
     section = _require(config, "shunt")
     if "Lr_H" not in section and "f_r_Hz" not in section:
         raise ConfigError("config error at /shunt: need Lr_H or f_r_Hz")
@@ -213,6 +215,7 @@ def _shunt_from(config: dict) -> electromech.ShuntCircuit:
 
 
 def _chain_from(config: dict) -> phonon_chain.ChainSpec:
+    from . import phonon_chain
     section = config.get("chain", {})
     gap_fraction = section.get("gap_fraction", 0.20)
     if section.get("strong_mirrors", False):
@@ -231,6 +234,7 @@ def _chain_from(config: dict) -> phonon_chain.ChainSpec:
 
 
 def _loss_stack_from(config: dict) -> losses.LossStack:
+    from . import losses
     section = _require(config, "loss_stack")
     channels = []
     for i, entry in enumerate(section):
@@ -257,9 +261,8 @@ def _loss_stack_from(config: dict) -> losses.LossStack:
 
 def _derivation(config: dict, n_defects: int = 1) -> dict:
     """Chain BVD + shunt + system + drive into the coupling derivation."""
-    bvd = _bvd_from(config)
-    if n_defects > 1:
-        bvd = electromech.scale_defects(bvd, electromech.DefectArraySpec(n_defects))
+    from . import dynamics, electromech
+    bvd = electromech.scale_defects(_bvd_from(config), electromech.DefectArraySpec(n_defects))
     shunt = _shunt_from(config)
     system_cfg = _require(config, "system")
     drive_cfg = _require(config, "drive")
@@ -330,6 +333,8 @@ def _derivation(config: dict, n_defects: int = 1) -> dict:
 
 
 def cmd_couple(args) -> tuple[dict, list | None]:
+    if args.defects < 1:
+        raise ConfigError(f"--defects must be at least 1, got {args.defects}")
     config = load_config(args.config)
     result = _derivation(config, n_defects=args.defects)
     return result["payload"], None
@@ -337,6 +342,7 @@ def cmd_couple(args) -> tuple[dict, list | None]:
 
 def cmd_iswap(args) -> tuple[dict, list | None]:
     config = load_config(args.config)
+    from . import dynamics
     chain = _derivation(config)
     result = dynamics.iswap(
         chain["system"], chain["drive"],
@@ -365,6 +371,7 @@ def cmd_iswap(args) -> tuple[dict, list | None]:
 
 
 def cmd_fit_lorentzian(args) -> tuple[dict, list | None]:
+    from . import analysis
     trace = analysis.load_frequency_trace_csv(args.file)
     fit = analysis.fit_lorentzian(trace)
     payload = {
@@ -375,7 +382,7 @@ def cmd_fit_lorentzian(args) -> tuple[dict, list | None]:
         "uncertainties": fit.uncertainties,
         "residual_norm": fit.residual_norm,
     }
-    model = np.abs(
+    model = abs(
         fit.background
         + fit.amplitude / (1.0 + 2j * fit.Q * (trace.frequencies - fit.f0) / fit.f0)
     )
@@ -384,6 +391,8 @@ def cmd_fit_lorentzian(args) -> tuple[dict, list | None]:
 
 
 def cmd_ringdown(args) -> tuple[dict, list | None]:
+    import numpy as np
+    from . import analysis
     trace = analysis.load_time_trace_csv(args.file)
     fit = analysis.fit_ringdown(trace)
     payload = {
@@ -402,6 +411,7 @@ def cmd_ringdown(args) -> tuple[dict, list | None]:
 
 def cmd_qvt(args) -> tuple[dict, list | None]:
     config = load_config(args.config)
+    from . import losses
     template = _loss_stack_from(config)
     data = losses.QvsTDataset.from_csv(args.file)
     fit = losses.fit_loss_stack(data, args.frequency_hz, template)
@@ -420,6 +430,7 @@ def cmd_qvt(args) -> tuple[dict, list | None]:
 
 
 def cmd_bvd_fit(args) -> tuple[dict, list | None]:
+    from . import electromech
     trace = electromech.load_admittance_csv(args.file)
     params = electromech.fit_bvd(trace, fit_rm=args.fit_rm)
     payload = {
@@ -438,6 +449,7 @@ def cmd_bvd_fit(args) -> tuple[dict, list | None]:
 
 
 def _duffing_from(config: dict) -> duffing.DuffingParams:
+    from . import duffing
     section = _require(config, "duffing")
     return duffing.DuffingParams(
         f0=section["f0_Hz"], Q=section["Q"],
@@ -449,6 +461,7 @@ def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     config = load_config(args.config)
+    from . import duffing
     params = _duffing_from(config)
     f_start = args.f_start if args.f_start is not None else params.f0 * (1 - 100 / params.Q)
     f_end = args.f_end if args.f_end is not None else params.f0 * (1 + 100 / params.Q)
@@ -456,8 +469,8 @@ def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
     payload = {
         "direction": args.direction,
         "bistable_range_Hz": list(result.bistable_range) if result.bistable_range else None,
-        "peak_amplitude": float(np.max(result.amplitudes)),
-        "peak_frequency_Hz": float(result.frequencies[int(np.argmax(result.amplitudes))]),
+        "peak_amplitude": float(result.amplitudes.max()),
+        "peak_frequency_Hz": float(result.frequencies[int(result.amplitudes.argmax())]),
     }
     rows = [("f_Hz", "amp", "branch")] + list(
         zip(result.frequencies, result.amplitudes, result.branch_labels)
@@ -467,6 +480,7 @@ def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
 
 def cmd_backbone(args) -> tuple[dict, list | None]:
     config = load_config(args.config)
+    from . import duffing
     params = _duffing_from(config)
     try:
         levels = [float(v) for v in args.drive_levels.split(",")]
@@ -487,6 +501,8 @@ def cmd_backbone(args) -> tuple[dict, list | None]:
 
 def cmd_bandgap(args) -> tuple[dict, list | None]:
     config = load_config(args.config) if args.config else {}
+    import numpy as np
+    from . import phonon_chain
     chain = _chain_from(config)
     gaps = phonon_chain.find_band_gaps(
         chain.mirror_cell, args.f_min, args.f_max, args.resolution
@@ -514,6 +530,7 @@ def cmd_bandgap(args) -> tuple[dict, list | None]:
 
 def cmd_photoelastic_scan(args) -> tuple[dict, list | None]:
     config = load_config(args.config)
+    from . import phonon_chain, photoelastic
     optics = _require(config, "optics")
     chain = _chain_from(config)
     f_center = config.get("chain", {}).get("f_center_Hz", 100e6)
@@ -561,17 +578,14 @@ def _write_rows(path: str, rows: list, fmt: str) -> None:
             json.dump(document, fh, indent=2)
             fh.write("\n")
         return
+    # the rows come from a subcommand that has loaded numpy already
+    import numpy as np
+    numeric = (float, np.floating, np.integer)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in data:
-            writer.writerow([_csv_cell(v) for v in row])
-
-
-def _csv_cell(value):
-    if isinstance(value, (float, np.floating, np.integer)):
-        return repr(float(value))
-    return value
+            writer.writerow([repr(float(v)) if isinstance(v, numeric) else v for v in row])
 
 
 def _strict_json(value):

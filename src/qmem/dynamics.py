@@ -554,6 +554,10 @@ def iswap(
     """
     eff = effective_coupling(system, drive)
     eff = replace(eff, drive_phase=math.pi)
+    if d_m < 2:
+        # here, because building |e,0> and the zero-coupling return both
+        # come before build_rwa_hamiltonian's own check
+        raise ValueError("mechanics Fock cutoff must be >= 2")
     dims = (2, d_m)
     if rho0 is None:
         rho0 = DensityMatrix.basis(dims, (1, 0))  # |e, 0>: write configuration

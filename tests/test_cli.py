@@ -50,6 +50,16 @@ def test_couple_defect_scaling_flag(capsys, data_dir):
     assert 2.5 < ratio < 3.3
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_couple_rejects_fewer_than_one_defect(capsys, data_dir, n):
+    code, out, err = run_cli(
+        capsys, "couple", "--config", str(data_dir / "reference_config.json"), "--defects", n,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --defects must be at least 1, got {n}\n"
+
+
 def test_couple_missing_drive_section(capsys, tmp_path, data_dir):
     config = json.loads((data_dir / "reference_config.json").read_text())
     del config["drive"]
@@ -143,6 +153,16 @@ def test_iswap_dissipation_on_fidelity_estimate(capsys, data_dir):
     gamma_q = 1e4
     prediction = math.exp(-gamma_q * payload["gate_time_s"] / 2.0)
     assert payload["swap_fidelity"] == pytest.approx(prediction, rel=0.05)
+
+
+@pytest.mark.parametrize("d_m", ["0", "1"])
+def test_iswap_rejects_fock_cutoff_below_two(capsys, data_dir, d_m):
+    code, out, err = run_cli(
+        capsys, "iswap", "--config", str(data_dir / "reference_config.json"), "--d-m", d_m,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: mechanics Fock cutoff must be >= 2\n"
 
 
 def test_iswap_zero_duration_identity(capsys, tmp_path, data_dir):

@@ -301,6 +301,14 @@ def test_iswap_zero_coupling_leaves_state_unchanged():
     assert result.g_eff_hz == 0.0
 
 
+@pytest.mark.parametrize("n_s", [10.0, 0.0])
+@pytest.mark.parametrize("d_m", [0, 1])
+def test_iswap_rejects_fock_cutoff_below_two(d_m, n_s):
+    # zero coupling (n_s = 0) returns early, after the same check
+    with pytest.raises(ValueError, match="mechanics Fock cutoff must be >= 2"):
+        iswap(paper_system(), paper_drive(n_s=n_s), d_m=d_m)
+
+
 def test_iswap_read_direction():
     # read: qubit starts in |g>, the stored phonon returns to the qubit
     rho0 = DensityMatrix.basis((2, 5), (0, 1))

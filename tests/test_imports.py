@@ -1,6 +1,8 @@
 """The package imports scipy and jsonschema only inside the functions
-that call them, so ``import qmem.cli`` and commands that need neither
-(``qmem couple``) do not pay for loading them.  Every fit goes through
+that call them, and ``qmem.cli`` imports numpy and the library modules
+only inside the subcommands that call them.  So ``import qmem.cli`` and
+``load_config`` load no numpy and no library module, and each subcommand
+loads only its own (``qmem couple`` loads no scipy).  Every fit goes through
 the one least-squares helper, with an exact Jacobian, and the Lindbladian
 is gathered on the reached entries of rho, never built by Kronecker
 products."""
@@ -18,10 +20,15 @@ import qmem
 
 PACKAGE = pathlib.Path(qmem.__file__).parent
 DEFERRED = ("scipy", "jsonschema")
+LIBRARY = {
+    f"qmem.{path.stem}" for path in PACKAGE.glob("*.py")
+    if path.stem not in ("__init__", "cli", "errors")
+}
 
 
 def _top_level_imports(tree):
-    """Root package names imported by statements outside any function."""
+    """Root package names imported by statements outside any function; a
+    relative import keeps its leading dots (``.errors``, ``.``)."""
     nodes = list(tree.body)
     while nodes:
         node = nodes.pop()
@@ -29,8 +36,11 @@ def _top_level_imports(tree):
             continue
         if isinstance(node, ast.Import):
             yield from (alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                yield "." * node.level + (node.module or "")
+            else:
+                yield node.module.split(".")[0]
         nodes.extend(ast.iter_child_nodes(node))
 
 
@@ -40,14 +50,20 @@ def test_no_module_level_deferred_import(path):
     assert not imported & set(DEFERRED)
 
 
+def test_cli_imports_only_stdlib_and_errors_at_module_level():
+    imported = set(_top_level_imports(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert imported - set(sys.stdlib_module_names) == {".errors"}
+
+
 def test_top_level_import_finder_sees_nested_statements():
     tree = ast.parse(
         "import scipy.linalg\n"
         "if True:\n    from jsonschema import validators\n"
         "class A:\n    import scipy\n"
-        "def f():\n    from scipy.optimize import brentq\n"
+        "try:\n    from . import dynamics\nexcept ImportError:\n    from .errors import QmemError\n"
+        "def f():\n    from scipy.optimize import brentq\n    from . import analysis\n"
     )
-    assert sorted(_top_level_imports(tree)) == ["jsonschema", "scipy", "scipy"]
+    assert sorted(_top_level_imports(tree)) == [".", ".errors", "jsonschema", "scipy", "scipy"]
 
 
 HELPER = ("core.py", "fit_least_squares")
@@ -115,20 +131,52 @@ def test_named_node_finder_sees_nested_calls():
     assert sorted(owner or "" for owner, _ in _named_nodes(tree, "least_squares")) == ["", "f", "m"]
 
 
-def test_couple_loads_no_scipy(data_dir):
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from qmem.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['couple', '--config', {str(data_dir / 'reference_config.json')!r}])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-    )
+def _modules_after(script):
+    """Names in sys.modules after ``script`` runs in a fresh interpreter."""
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, scipy_modules = json.loads(proc.stdout)
-    assert code == 0
-    assert scipy_modules == []
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _roots(modules):
+    return {name.split(".")[0] for name in modules}
+
+
+@pytest.mark.parametrize("call", [
+    "cli.load_config(CONFIG)",
+    # --help and usage errors exit through argparse
+    "with contextlib.suppress(SystemExit):\n    cli.main(['--help'])",
+    "with contextlib.suppress(SystemExit):\n    cli.main(['iswap', '--d-m', 'five'])",
+    # a config error stops a subcommand before it imports anything
+    "assert cli.main(['iswap', '--config', CONFIG + '.missing']) == 2",
+    "assert cli.main(['couple', '--config', CONFIG, '--defects', '0']) == 2",
+], ids=["load_config", "help", "usage_error", "missing_config", "bad_defects"])
+def test_cli_front_end_loads_no_numpy_or_library(data_dir, call):
+    modules = _modules_after(
+        "import contextlib, io\n"
+        "import qmem.cli as cli\n"
+        f"CONFIG = {str(data_dir / 'reference_config.json')!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        + "\n".join("    " + line for line in call.splitlines()) + "\n"
+    )
+    assert "qmem.cli" in modules
+    assert not _roots(modules) & {"numpy", "scipy"}
+    assert not modules & LIBRARY
+
+
+def test_couple_loads_no_scipy(data_dir):
+    modules = _modules_after(
+        "import contextlib, io\n"
+        "from qmem.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['couple', '--config', {str(data_dir / 'reference_config.json')!r}]) == 0\n"
+    )
+    assert "scipy" not in _roots(modules)
+    assert {"qmem.dynamics", "qmem.electromech"} <= modules
+    unused = {f"qmem.{name}" for name in ("analysis", "duffing", "losses", "phonon_chain", "photoelastic")}
+    assert not modules & unused
