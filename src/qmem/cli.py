@@ -333,8 +333,6 @@ def _derivation(config: dict, n_defects: int = 1) -> dict:
 
 
 def cmd_couple(args) -> tuple[dict, list | None]:
-    if args.defects < 1:
-        raise ConfigError(f"--defects must be at least 1, got {args.defects}")
     config = load_config(args.config)
     result = _derivation(config, n_defects=args.defects)
     return result["payload"], None

@@ -57,7 +57,7 @@ def test_couple_rejects_fewer_than_one_defect(capsys, data_dir, n):
     )
     assert code == 2
     assert out == ""
-    assert err == f"error: --defects must be at least 1, got {n}\n"
+    assert err == "error: N must be >= 1\n"
 
 
 def test_couple_missing_drive_section(capsys, tmp_path, data_dir):

@@ -154,8 +154,7 @@ def _roots(modules):
     "with contextlib.suppress(SystemExit):\n    cli.main(['iswap', '--d-m', 'five'])",
     # a config error stops a subcommand before it imports anything
     "assert cli.main(['iswap', '--config', CONFIG + '.missing']) == 2",
-    "assert cli.main(['couple', '--config', CONFIG, '--defects', '0']) == 2",
-], ids=["load_config", "help", "usage_error", "missing_config", "bad_defects"])
+], ids=["load_config", "help", "usage_error", "missing_config"])
 def test_cli_front_end_loads_no_numpy_or_library(data_dir, call):
     modules = _modules_after(
         "import contextlib, io\n"
