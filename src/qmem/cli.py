@@ -7,11 +7,12 @@ simulation, the ``fit-*``/``ringdown``/``qvt`` commands wrap the trace
 fitting routines, and ``bandgap``/``duffing-sweep``/``backbone``/
 ``photoelastic-scan`` expose the forward models.
 
-Configuration is a single JSON document with unit-suffixed keys (see
-``CONFIG_SCHEMA``); unknown keys are rejected and validation errors
-carry JSON-pointer paths.  Results go to stdout as strict JSON, with
-null for a quantity that is infinite or undefined; ``--out``
-writes the detailed arrays as CSV (or JSON with ``--format json``).
+Configuration is a single JSON document with unit-suffixed keys,
+checked against the JSON Schema ``CONFIG_SCHEMA`` by ``_schema_errors``;
+unknown keys are rejected and validation errors carry JSON-pointer
+paths.  Results go to stdout as strict JSON, with null for a quantity
+that is infinite or undefined; ``--out`` writes the detailed arrays as
+CSV (or JSON with ``--format json``).
 Exit codes: 0 success, 1 computation or fit failure, 2 usage, IO, or
 configuration error (``EXIT_CODES`` maps exception types to codes).
 Each subcommand imports numpy and the library modules it calls once its
@@ -147,13 +148,60 @@ CONFIG_SCHEMA = {
 }
 
 
+# Draft 2020-12 types: a bool is no number, and 5.0 is an integer
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "boolean": lambda value: isinstance(value, bool),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "integer": lambda value: not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ),
+}
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """(path, message) for every keyword of ``schema`` that ``value``
+    fails, with Draft 2020-12 semantics: a keyword that does not apply to
+    the value's type is skipped.  ``additionalProperties`` may only be
+    false."""
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, (f"{value!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            yield path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} has fewer than {schema['minItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        if schema.get("additionalProperties", True) is False:
+            unexpected = [key for key in value if key not in properties]
+            if unexpected:
+                yield path, f"additional properties are not allowed ({unexpected!r} unexpected)"
+        for key, subschema in properties.items():
+            if key in value:
+                yield from _schema_errors(value[key], subschema, path + (key,))
+
+
 def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path)
 
 
 def load_config(path: str) -> dict:
-    import jsonschema
-
     def reject(token: str):
         # JSON has no NaN or infinity; Python's reader accepts the bare
         # constants and turns an overflowing literal such as 1e999 into inf
@@ -179,12 +227,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(document, CONFIG_SCHEMA), key=lambda error: error[0])
     if errors:
-        details = "; ".join(
-            f"{_pointer(e.absolute_path) or '/'}: {e.message}" for e in errors
-        )
+        details = "; ".join(f"{_pointer(where)}: {message}" for where, message in errors)
         raise ConfigError(f"config validation failed: {details}")
     return document
 
@@ -226,7 +271,8 @@ def _chain_from(config: dict) -> phonon_chain.ChainSpec:
             )
         gap_fraction = phonon_chain.STRONG_GAP_FRACTION
     return phonon_chain.reference_chain(
-        n_mirror=section.get("mirror_cells_per_side", 5),
+        # the schema admits an integral float such as 5.0
+        n_mirror=int(section.get("mirror_cells_per_side", 5)),
         width_scale=section.get("defect_width_scale", phonon_chain.DEFAULT_DEFECT_STRETCH),
         gap_fraction=gap_fraction,
         f_center=section.get("f_center_Hz", 100e6),
@@ -270,7 +316,10 @@ def _derivation(config: dict, n_defects: int = 1) -> dict:
     f_m = system_cfg.get("f_m_Hz", bvd.series_resonance_hz)
     f_s = system_cfg.get("f_s_Hz", shunt.f_r)
     f_q = system_cfg["f_q_Hz"]
-    g_sm = system_cfg.get("g_sm_Hz", electromech.coupling_rate_gsm(bvd, shunt, f_m))
+    if "g_sm_Hz" in system_cfg:
+        g_sm = system_cfg["g_sm_Hz"]
+    else:
+        g_sm = electromech.coupling_rate_gsm(bvd, shunt, f_m)
     if ("g_qs_Hz" in system_cfg) == ("lambda_qs" in system_cfg):
         raise ConfigError(
             "config error at /system: supply exactly one of g_qs_Hz or lambda_qs"

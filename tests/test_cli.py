@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,35 @@ def test_config_bounds_mirror_cells(capsys, tmp_path, cells):
     assert out == ""
     assert err.count("\n") == 1
     assert "/chain/mirror_cells_per_side" in err and "maximum of 100" in err
+
+
+@pytest.mark.parametrize("token, cells", [("5.0", 5), ("1e2", 100)])
+@pytest.mark.parametrize("command", ["bandgap", "photoelastic-scan"])
+def test_integral_float_mirror_cells_match_the_integer(capsys, tmp_path, data_dir, command, token, cells):
+    # Draft 2020-12 counts 5.0 as an integer, so the schema admits it
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    payloads = []
+    for value in (token, str(cells)):
+        config["chain"] = {"mirror_cells_per_side": "CELLS"}
+        path = tmp_path / f"cells_{value}.json"
+        path.write_text(json.dumps(config).replace('"CELLS"', value))
+        payloads.append(run_json(capsys, command, "--config", str(path)))
+    assert payloads[0] == payloads[1]
+
+
+def test_explicit_g_sm_skips_the_coupling_rate_formula(capsys, tmp_path, data_dir):
+    # a billion defects put C0 far above Cr, where the formula warns
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    path = tmp_path / "explicit_g_sm.json"
+    for g_sm, expected_warnings in ((None, 1), (120e3, 0)):
+        if g_sm is not None:
+            config["system"]["g_sm_Hz"] = g_sm
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = run_json(capsys, "couple", "--config", str(path), "--defects", "1000000000")
+        assert len(caught) == expected_warnings
+    assert payload["g_sm_Hz"] == 120e3
 
 
 def test_iswap_dissipation_off(capsys, tmp_path, data_dir):

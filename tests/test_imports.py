@@ -1,11 +1,11 @@
-"""The package imports scipy and jsonschema only inside the functions
-that call them, and ``qmem.cli`` imports numpy and the library modules
-only inside the subcommands that call them.  So ``import qmem.cli`` and
-``load_config`` load no numpy and no library module, and each subcommand
-loads only its own (``qmem couple`` loads no scipy).  Every fit goes through
-the one least-squares helper, with an exact Jacobian, and the Lindbladian
-is gathered on the reached entries of rho, never built by Kronecker
-products."""
+"""The package imports scipy only inside the functions that call it and
+never imports jsonschema, and ``qmem.cli`` imports numpy and the library
+modules only inside the subcommands that call them.  So ``import
+qmem.cli`` and ``load_config`` load no numpy, no jsonschema and no
+library module, and each subcommand loads only its own (``qmem couple``
+loads no scipy).  Every fit goes through the one least-squares helper,
+with an exact Jacobian, and the Lindbladian is gathered on the reached
+entries of rho, never built by Kronecker products."""
 
 import ast
 import json
@@ -19,7 +19,7 @@ import pytest
 import qmem
 
 PACKAGE = pathlib.Path(qmem.__file__).parent
-DEFERRED = ("scipy", "jsonschema")
+DEFERRED = ("scipy",)
 LIBRARY = {
     f"qmem.{path.stem}" for path in PACKAGE.glob("*.py")
     if path.stem not in ("__init__", "cli", "errors")
@@ -48,6 +48,20 @@ def _top_level_imports(tree):
 def test_no_module_level_deferred_import(path):
     imported = set(_top_level_imports(ast.parse(path.read_text())))
     assert not imported & set(DEFERRED)
+
+
+def test_no_module_imports_jsonschema():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [(path.name, node.lineno) for name in names if name.split(".")[0] == "jsonschema"]
+    assert offenders == []
 
 
 def test_cli_imports_only_stdlib_and_errors_at_module_level():
@@ -164,7 +178,7 @@ def test_cli_front_end_loads_no_numpy_or_library(data_dir, call):
         + "\n".join("    " + line for line in call.splitlines()) + "\n"
     )
     assert "qmem.cli" in modules
-    assert not _roots(modules) & {"numpy", "scipy"}
+    assert not _roots(modules) & {"numpy", "scipy", "jsonschema"}
     assert not modules & LIBRARY
 
 
@@ -179,3 +193,20 @@ def test_couple_loads_no_scipy(data_dir):
     assert {"qmem.dynamics", "qmem.electromech"} <= modules
     unused = {f"qmem.{name}" for name in ("analysis", "duffing", "losses", "phonon_chain", "photoelastic")}
     assert not modules & unused
+
+
+def test_cli_runs_without_jsonschema(data_dir, tmp_path):
+    # a None entry in sys.modules makes every import of jsonschema fail
+    config = str(data_dir / "reference_config.json")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({"bvd": {"C0_F": -1.0}}))
+    modules = _modules_after(
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "import contextlib, io\n"
+        "from qmem.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main(['couple', '--config', {config!r}]) == 0\n"
+        f"    assert main(['couple', '--config', {str(invalid)!r}]) == 2\n"
+    )
+    assert modules >= {"qmem.dynamics", "qmem.electromech"}
