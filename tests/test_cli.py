@@ -121,9 +121,9 @@ def test_config_bounds_mirror_cells(capsys, tmp_path, cells):
 def test_integral_float_mirror_cells_match_the_integer(capsys, tmp_path, data_dir, command, token, cells):
     # Draft 2020-12 counts 5.0 as an integer, so the schema admits it
     config = json.loads((data_dir / "reference_config.json").read_text())
+    config["chain"] = {"mirror_cells_per_side": "CELLS"}
     payloads = []
     for value in (token, str(cells)):
-        config["chain"] = {"mirror_cells_per_side": "CELLS"}
         path = tmp_path / f"cells_{value}.json"
         path.write_text(json.dumps(config).replace('"CELLS"', value))
         payloads.append(run_json(capsys, command, "--config", str(path)))
