@@ -98,7 +98,7 @@ def fit_least_squares(name: str, residuals, theta0, *, jac, **options):
     _, singular_values, vt = np.linalg.svd(result.jac, full_matrices=False)
     dof = max(result.fun.size - result.x.size, 1)
     variance = 2.0 * result.cost / dof
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # a tiny singular value overflows to inf
         sigma = np.sqrt(variance * np.sum((vt / singular_values[:, None]) ** 2, axis=0))
     return result, sigma, singular_values
 

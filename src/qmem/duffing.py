@@ -65,15 +65,17 @@ class BackboneFit:
 
 def _cubic_coefficients(p: DuffingParams, f_hz):
     """Coefficients (c3, c2, c1, c0) of the amplitude equation as a cubic in
-    u = a^2, at one frequency or elementwise over an array of them."""
-    d = p.f0**2 - f_hz**2
-    e = (p.f0 * f_hz / p.Q) ** 2
-    return (
-        (9.0 / 16.0) * p.beta**2,
-        1.5 * p.beta * d,
-        d * d + e,
-        -p.drive**2,
-    )
+    u = a^2, at one frequency or elementwise over an array of them; squares
+    are products, which overflow to inf rather than raise."""
+    d = p.f0 * p.f0 - f_hz * f_hz
+    e = p.f0 * f_hz / p.Q
+    return (9.0 / 16.0) * p.beta * p.beta, 1.5 * p.beta * d, d * d + e * e, -p.drive * p.drive
+
+
+def _check_finite(p: DuffingParams, what: str, *values) -> None:
+    """Raise ValueError naming ``what`` unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"Duffing {what} overflows the float range for {p}")
 
 
 def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,25 +88,27 @@ def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.
     """
     if np.any(freqs <= 0.0):
         raise ValueError("drive frequency must be positive")
-    c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
-    u = np.full((freqs.size, 3), np.nan)
-    if c0 == 0.0:
-        u[:, 0] = 0.0
-    elif c3 == 0.0:
-        u[:, 0] = -c0 / c1  # linear response
-    else:
-        companion = np.zeros((freqs.size, 3, 3))
-        companion[:, 0, 0] = -c2 / c3
-        companion[:, 0, 1] = -c1 / c3
-        companion[:, 0, 2] = -c0 / c3
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        r = np.linalg.eigvals(companion)
-        # tolerate the measure-zero ambiguity at the discriminant boundary
-        real = (np.abs(r.imag) <= 1e-9 * np.abs(r)) & (r.real > 0.0)
-        u = np.sort(np.where(real, r.real, np.nan), axis=1)  # NaN sorts last
-    d = (p.f0**2 - freqs**2)[:, None]
-    e = ((p.f0 * freqs / p.Q) ** 2)[:, None]
-    slope = (d + 0.75 * p.beta * u) * (d + 2.25 * p.beta * u) + e
+    with np.errstate(all="ignore"):  # a coefficient past the float range raises below
+        c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
+        _check_finite(p, "amplitude cubic", c3, c2, c1, c0)
+        u = np.full((freqs.size, 3), np.nan)
+        if c0 == 0.0:
+            u[:, 0] = 0.0
+        elif c3 == 0.0:
+            u[:, 0] = -c0 / c1  # linear response
+        else:
+            companion = np.zeros((freqs.size, 3, 3))
+            companion[:, 0, 0] = -c2 / c3
+            companion[:, 0, 1] = -c1 / c3
+            companion[:, 0, 2] = -c0 / c3
+            companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+            _check_finite(p, "amplitude cubic", companion)
+            r = np.linalg.eigvals(companion)
+            # tolerate the measure-zero ambiguity at the discriminant boundary
+            real = (np.abs(r.imag) <= 1e-9 * np.abs(r)) & (r.real > 0.0)
+            u = np.sort(np.where(real, r.real, np.nan), axis=1)  # NaN sorts last
+        # d(F^2)/du: the derivative of the cubic
+        slope = c1[:, None] + u * (2.0 * c2[:, None] + 3.0 * c3 * u)
     return np.sqrt(u), slope > 0.0
 
 
@@ -121,39 +125,31 @@ def steady_state_amplitudes(p: DuffingParams, f_hz: float) -> list[tuple[float, 
     ]
 
 
-def _cubic_discriminant(coeffs):
-    a, b, c, d = coeffs
-    return (
-        18.0 * a * b * c * d
-        - 4.0 * b**3 * d
-        + b**2 * c**2
-        - 4.0 * a * c**3
-        - 27.0 * a**2 * d**2
-    )
-
-
-def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float, n_scan: int = 2001):
-    """Interval with three real roots, endpoints refined on the cubic
-    discriminant sign change; None when the drive stays subcritical."""
-    from scipy.optimize import brentq
-
+def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float):
+    """The part of [f_lo, f_hi] where the amplitude cubic has three real
+    roots, or None (Nayfeh & Mook, ch. 4).  With f^2 = f0^2 (1 + s/Q),
+    u = (f0^2/Q)/|beta| w and G = F^2 |beta| Q^3/f0^6 it reads
+    9/16 w^3 - 3/2 sgn(beta) s w^2 + (s^2 + s/Q + 1) w - G, and 4/9 of its
+    discriminant is sgn(beta) G (3/4 s^3 + 27/4 s^2/Q + 27/4 s) - 243/64 G^2
+    - (1 + s/Q)(s^2 + s/Q + 1)^2, a quintic (the s^6 terms cancel).  That
+    is positive left of its smallest real root, near s = -Q (f ~ 0), and
+    between the next two, the edges.  Near the critical drive these merge:
+    ``np.roots`` gives a complex pair (no range) once it cannot split them.
+    """
     if p.beta == 0.0 or p.drive == 0.0:
         return None
-    freqs = np.linspace(f_lo, f_hi, n_scan)
-    positive = _cubic_discriminant(_cubic_coefficients(p, freqs)) > 0.0
-    if not np.any(positive):
+    q = 1.0 / p.Q
+    a_lin = (p.drive / p.f0) * (p.Q / p.f0)  # linear peak amplitude F Q/f0^2
+    g = p.beta * a_lin * a_lin * (p.Q / p.f0) / p.f0  # sgn(beta) G
+    quintic = [-q, -1.0 - 2.0 * q * q, 0.75 * g - (4.0 + q * q) * q,
+               6.75 * g * q - 2.0 - 3.0 * q * q, 6.75 * g - 3.0 * q, -1.0 - 243.0 / 64.0 * g * g]
+    _check_finite(p, "bistable-range discriminant", [c / quintic[0] for c in quintic])
+    s = np.sort([r.real for r in np.roots(quintic) if r.imag == 0.0])
+    if s.size < 3:
         return None
-
-    def disc_at(f):
-        return _cubic_discriminant(_cubic_coefficients(p, f))
-
-    idx = np.nonzero(positive)[0]
-    lo, hi = freqs[idx[0]], freqs[idx[-1]]
-    if idx[0] > 0:
-        lo = brentq(disc_at, freqs[idx[0] - 1], freqs[idx[0]], xtol=1e-6 * p.f0)
-    if idx[-1] < n_scan - 1:
-        hi = brentq(disc_at, freqs[idx[-1]], freqs[idx[-1] + 1], xtol=1e-6 * p.f0)
-    return (float(lo), float(hi))
+    lo, hi = p.f0 * np.sqrt(np.maximum(1.0 + s[[1, -1]] * q, 0.0))
+    lo, hi = max(lo, f_lo), min(hi, f_hi)
+    return (float(lo), float(hi)) if lo <= hi else None
 
 
 def _follow_branch(lower: np.ndarray, upper: np.ndarray, start_upper: bool) -> np.ndarray:
@@ -196,6 +192,7 @@ def sweep(
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     f_lo, f_hi = min(f_start, f_end), max(f_start, f_end)
+    _check_finite(p, "sweep window", f_lo, f_hi)
     freqs = np.linspace(f_lo, f_hi, n_points)
     states, stable = _steady_states(p, freqs)
     # the response rides the lowest or the highest stable state (the middle
@@ -242,18 +239,21 @@ def backbone(p: DuffingParams, drive_levels) -> list[tuple[float, float]]:
         raise ValueError("need at least 3 drive levels")
     for level in levels:
         DuffingParams(f0=p.f0, Q=p.Q, beta=p.beta, drive=level)  # validates the level
-    drive_sq = np.square(levels)
-    c = p.f0**2 / (2.0 * p.Q**2)
-    k = c * c + (p.f0 / p.Q) ** 2 * (p.f0**2 - c)
-    m = 0.75 * p.beta * (p.f0 / p.Q) ** 2
-    disc = k * k + 4.0 * m * drive_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
+    linewidth = p.f0 / p.Q
+    c = 0.5 * linewidth * linewidth
+    k = c * c + linewidth * linewidth * (p.f0 * p.f0 - c)
+    m = 0.75 * p.beta * linewidth * linewidth
+    _check_finite(p, "backbone", c, k, m)
+    with np.errstate(all="ignore"):  # overflow raises below
+        drive_sq = np.square(levels)
+        disc = k * k + 4.0 * m * drive_sq
         u = 2.0 * drive_sq / (k + np.sqrt(disc))
-    f_sq = p.f0**2 + 0.75 * p.beta * u - c
+        f_sq = p.f0 * p.f0 + 0.75 * p.beta * u - c
     real = f_sq > 0.0  # NaN, so False, where the quadratic has no real root
     if not real.all():
         level = levels[int(np.argmin(real))]
         raise NoBackbonePeak(f"Duffing response has no real peak at drive {level:g}")
+    _check_finite(p, "backbone", disc, u, f_sq)
     return list(zip(np.sqrt(u).tolist(), np.sqrt(f_sq).tolist()))
 
 

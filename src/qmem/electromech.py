@@ -48,6 +48,9 @@ class BvdParams:
             raise ValueError("C0, Cm, Lm must all be positive")
         if self.Rm < 0.0:
             raise ValueError("Rm must be >= 0")
+        if self.Lm * self.Cm == 0.0:
+            raise ValueError(f"Lm*Cm underflows to 0 (Lm={self.Lm:g}, Cm={self.Cm:g}): "
+                             "the series resonance is not finite")
 
     @property
     def series_resonance_hz(self) -> float:
@@ -80,6 +83,9 @@ class ShuntCircuit:
         if self.Lr is not None:
             if self.Lr <= 0.0:
                 raise ValueError("Lr must be positive")
+            if self.Lr * self.Cr == 0.0:
+                raise ValueError(f"Lr*Cr underflows to 0 (Lr={self.Lr:g}, Cr={self.Cr:g}): "
+                                 "the resonance is not finite")
             derived = 1.0 / (TWO_PI * math.sqrt(self.Lr * self.Cr))
             if self.f_r is not None:
                 if abs(derived - self.f_r) > 1e-9 * self.f_r:

@@ -268,7 +268,13 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
     sigma_log = data.sigma_q / data.q_values
 
     def residuals(theta):
-        stack = _unpack(template, names, theta)
+        try:
+            stack = _unpack(template, names, theta)
+        except (OverflowError, ValueError):
+            # a trial step took a log parameter past exp's range: exp
+            # overflows, or underflows to 0, which no channel accepts.
+            # Non-finite residuals make trf reject the step.
+            return np.full(len(data), np.inf)
         model = total_q_inverse(stack, f_hz, data.temperatures)
         return (np.log(model) - log_qinv_data) / sigma_log
 

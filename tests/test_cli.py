@@ -438,6 +438,69 @@ def test_duffing_sweep_rejects_nan_drive(capsys, tmp_path, data_dir):
     assert err.count("\n") == 1 and f"{path}: non-finite number NaN" in err
 
 
+def _config_with(tmp_path, data_dir, section, **fields):
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config[section].update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def run_one_line_error(capsys, *argv):
+    """Exit code and stderr of a run that must fail with one ``error:``
+    line, no stdout and no warning (a warning raises here)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return code, err
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("duffing-sweep", "f0_Hz", 1e300),
+    ("backbone", "f0_Hz", 1e300),
+    ("duffing-sweep", "beta_Hz2_per_m2", 1e300),
+    ("duffing-sweep", "beta_Hz2_per_m2", 1e-150),  # the companion matrix divides by beta^2
+    ("duffing-sweep", "drive_m_Hz2", 1e200),
+    ("backbone", "Q", 1e300),
+    ("backbone", "Q", 1e-300),
+    ("duffing-sweep", "Q", 1e-300),  # the default window f0 (1 +- 100/Q)
+    ("duffing-sweep", "Q", 1e300),  # G = F^2 |beta| Q^3/f0^6 of the bistable edges
+])
+def test_duffing_overflow_is_a_one_line_error(capsys, tmp_path, data_dir, command, field, value):
+    # driven, so that duffing-sweep computes the bistable edges
+    path = _config_with(tmp_path, data_dir, "duffing", **{"drive_m_Hz2": 5e11, field: value})
+    argv = ["--drive-levels", "1e8,2e8,3e8,4e8"] if command == "backbone" else []
+    code, err = run_one_line_error(capsys, command, "--config", path, *argv)
+    assert code == 2 and "Duffing" in err and "overflows the float range" in err
+
+
+@pytest.mark.parametrize("command", ["couple", "iswap"])
+@pytest.mark.parametrize("section, field", [("bvd", "Lm_H"), ("shunt", "Cr_F"), ("shunt", "Lr_H")])
+def test_resonance_of_underflowing_lc_product_is_rejected(capsys, tmp_path, data_dir, command, section, field):
+    # Lm*Cm or Lr*Cr underflows to 0, so 1/(2 pi sqrt(L C)) is not finite
+    path = _config_with(tmp_path, data_dir, section, **{field: 5e-324})
+    code, err = run_one_line_error(capsys, command, "--config", path)
+    assert code == 2 and "underflows to 0" in err
+
+
+def test_qvt_trial_step_past_exp_range_is_rejected(capsys, tmp_path, data_dir):
+    # trf sends a log parameter of the reference template past exp's range;
+    # the fit rejects that step and ends on the template's degeneracy
+    temps = np.linspace(4.0, 300.0, 12)
+    path = tmp_path / "qvt.csv"
+    path.write_text("T_K,Q,sigma_Q\n" + "".join(
+        f"{t!r},{1e6 / (1.0 + t / 100.0)!r},1e4\n" for t in temps.tolist()
+    ))
+    code, err = run_one_line_error(
+        capsys, "qvt", str(path), "--config", str(data_dir / "reference_config.json"),
+        "--frequency-hz", "1e9",
+    )
+    assert code == 1 and "not identifiable" in err
+
+
 def test_modulation_too_deep_exits_one(capsys, tmp_path, data_dir):
     # a 1 um standing wave modulates the probe phase far past M = 1
     config = json.loads((data_dir / "reference_config.json").read_text())

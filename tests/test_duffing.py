@@ -240,13 +240,13 @@ def _onset(f0, q, beta):
 
 
 @st.composite
-def driven_params(draw, factors=st.one_of(st.floats(0.05, 0.8), st.floats(1.5, 10.0))):
-    """Stiffening or softening resonators driven at ``factors`` times the
-    onset of bistability: by default below or well above it.  Drives just
-    above the onset, where the bistable range is narrower than the
-    discriminant scan, are left out."""
+def driven_params(draw, factors=st.floats(0.05, 10.0), qs=st.floats(1e3, 1e5)):
+    """Stiffening or softening resonators of quality factor drawn from
+    ``qs``, driven at ``factors`` times the onset of bistability.  The
+    bistable edges are exact, so drives just above the onset, whose range
+    is narrower than any sweep grid, are drawn too."""
     f0 = draw(st.floats(50e6, 200e6))
-    q = draw(st.floats(1e3, 1e5))
+    q = draw(qs)
     beta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e20, 1e22))
     return DuffingParams(f0=f0, Q=q, beta=beta, drive=draw(factors) * _onset(f0, q, beta))
 
@@ -324,9 +324,53 @@ def test_sweep_properties(p, data):
     outside = np.ones(fwd.frequencies.size, dtype=bool)
     if fwd.bistable_range is not None:
         edge_lo, edge_hi = fwd.bistable_range
-        margin = 2e-6 * p.f0  # the edges are refined to 1e-6 f0
+        margin = 1e-6 * p.f0 / p.Q  # a millionth of a linewidth: the edges are exact
         outside = (fwd.frequencies < edge_lo - margin) | (fwd.frequencies > edge_hi + margin)
     np.testing.assert_array_equal(fwd.amplitudes[outside], bwd.amplitudes[outside])
+
+
+def _root_counts(p, freqs):
+    amps, _ = _steady_states(p, np.asarray(freqs, dtype=float))
+    return np.sum(~np.isnan(amps), axis=1).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=driven_params(factors=st.floats(1.001, 10.0), qs=st.floats(3.0, 7.0).map(lambda e: 10.0**e)))
+def test_bistable_edges_bound_the_three_root_range(p):
+    edges = _bistable_range(p, *_response_window(p))
+    if edges is None:
+        # at finite Q the onset is within about 1.3/Q of the infinite-Q one
+        assert p.drive < 1.01 * _onset(p.f0, p.Q, p.beta)
+        return
+    lo, hi = edges
+    step = min(1e-6 * p.f0 / p.Q, (hi - lo) / 4.0)
+    assert _root_counts(p, [lo - step, lo + step, hi - step, hi + step]) == [1, 3, 3, 1]
+
+
+def test_sweep_reports_a_range_narrower_than_its_grid():
+    # at 1.05 times the onset the range is 0.014 linewidth wide, far below
+    # the 0.1-linewidth step of a 2,001-point scan over +-100 linewidths
+    p = stiff_params(1.05 * _onset(F0, Q, 2e21))
+    lo, hi = sweep(p, F0 * (1 - 100 / Q), F0 * (1 + 100 / Q), n_points=11).bistable_range
+    step = 1e-6 * F0 / Q
+    assert _root_counts(p, [lo - step, 0.5 * (lo + hi), hi + step]) == [1, 3, 1]
+
+
+def test_bistable_range_at_the_critical_drive():
+    # at Q = 1e4 the onset is 1.00013 times the infinite-Q _onset
+    window = (F0 * (1 - 100 / Q), F0 * (1 + 100 / Q))
+    cusp = F0 * math.sqrt(1.0 + math.sqrt(3.0) / Q)  # where the edges merge
+    grid = np.linspace(cusp - 0.05 * F0 / Q, cusp + 0.05 * F0 / Q, 2001)
+    below = stiff_params(1.0001 * _onset(F0, Q, 2e21))
+    assert _bistable_range(below, *window) is None
+    assert set(_root_counts(below, grid)) == {1}
+    # just above it: a range 3e-5 linewidth (0.31 Hz) wide whose edges
+    # bound the three-root range
+    above = stiff_params(1.001 * _onset(F0, Q, 2e21))
+    lo, hi = _bistable_range(above, *window)
+    assert hi - lo == pytest.approx(0.3135, abs=1e-3)
+    step = (hi - lo) / 4.0
+    assert _root_counts(above, [lo - step, lo + step, hi - step, hi + step]) == [1, 3, 3, 1]
 
 
 def _branch_loop(lower, upper, on_upper):

@@ -3,9 +3,10 @@ never imports jsonschema, and ``qmem.cli`` imports numpy and the library
 modules only inside the subcommands that call them.  So ``import
 qmem.cli`` and ``load_config`` load no numpy, no jsonschema and no
 library module, and each subcommand loads only its own (``qmem couple``
-loads no scipy).  Every fit goes through the one least-squares helper,
-with an exact Jacobian, and the Lindbladian is gathered on the reached
-entries of rho, never built by Kronecker products."""
+and ``qmem duffing-sweep`` load no scipy).  Every fit goes through the
+one least-squares helper, with an exact Jacobian, and the Lindbladian is
+gathered on the reached entries of rho, never built by Kronecker
+products."""
 
 import ast
 import json
@@ -193,6 +194,24 @@ def test_couple_loads_no_scipy(data_dir):
     assert {"qmem.dynamics", "qmem.electromech"} <= modules
     unused = {f"qmem.{name}" for name in ("analysis", "duffing", "losses", "phonon_chain", "photoelastic")}
     assert not modules & unused
+
+
+def test_duffing_sweep_loads_no_scipy(data_dir, tmp_path):
+    # driven past the onset, so the sweep reports a bistable range
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["duffing"]["drive_m_Hz2"] = 5e11
+    path = tmp_path / "driven.json"
+    path.write_text(json.dumps(config))
+    modules = _modules_after(
+        "import contextlib, io, json\n"
+        "from qmem.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['duffing-sweep', '--config', {str(path)!r}]) == 0\n"
+        "assert json.loads(out.getvalue())['bistable_range_Hz'] is not None\n"
+    )
+    assert "qmem.duffing" in modules
+    assert not {name for name in modules if name.startswith("scipy")}
 
 
 def test_cli_runs_without_jsonschema(data_dir, tmp_path):
