@@ -29,6 +29,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 from .errors import ComputationError, ConfigError, NoDefectModeInGap, QmemError
 
@@ -510,8 +511,11 @@ def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
     config = load_config(args.config)
     from . import duffing
     params = _duffing_from(config)
-    f_start = args.f_start if args.f_start is not None else params.f0 * (1 - 100 / params.Q)
-    f_end = args.f_end if args.f_end is not None else params.f0 * (1 + 100 / params.Q)
+    # 100 linewidths either side, with a positive lower edge at Q <= 100
+    span = 100 / params.Q
+    f_low = params.f0 * (1 - span) if span < 1 else params.f0 / (1 + span)
+    f_start = args.f_start if args.f_start is not None else f_low
+    f_end = args.f_end if args.f_end is not None else params.f0 * (1 + span)
     result = duffing.sweep(params, f_start, f_end, args.direction, n_points=args.points)
     payload = {
         "direction": args.direction,
@@ -723,6 +727,12 @@ EXIT_CODES = (
 )
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` for the command line: one stderr line
+    per warning, without the source location and code line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     level = os.environ.get("QMEM_LOG", "WARNING").upper()
     if not isinstance(logging.getLevelName(level), int):
@@ -732,6 +742,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         payload, rows = args.func(args)
         if args.out:
@@ -742,6 +753,8 @@ def main(argv=None) -> int:
     except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for exc_type, code in EXIT_CODES if isinstance(exc, exc_type))
+    finally:
+        warnings.formatwarning = formatwarning
     json.dump(_strict_json(payload), sys.stdout, indent=2, allow_nan=False)
     print()
     return 0

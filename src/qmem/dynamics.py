@@ -307,8 +307,8 @@ class DensityMatrix:
     Validates hermiticity (1e-10), unit trace (1e-9), and positivity
     (eigenvalue floor -1e-9) at construction, so every final state that
     ``evolve`` and ``iswap`` return carries those guarantees.  Their
-    propagator averages each entry with the conjugate of its transpose
-    partner, so the states it returns are exactly Hermitian.
+    propagator rebuilds each pair of transpose partners from the same
+    two real coordinates, so those states are exactly Hermitian.
     """
 
     dims: tuple[int, ...]
@@ -373,19 +373,22 @@ def _jump_operators(dims, decay: list, dephase: list) -> list:
 
 
 def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
-    """(a, b, L): the entries rho[a, b] that the evolution of ``rho0``
-    reaches and the Lindbladian (rad/s) on them.
+    """(a, b, G): the entries rho[a, b] that the evolution of ``rho0``
+    reaches and the real generator G (rad/s) on their coordinates.
 
-    The generator is K rho + rho K^dag + sum rate C rho C^dag with
+    The Lindbladian is K rho + rho K^dag + sum rate C rho C^dag with
     K = -2 pi i H - 1/2 sum rate C^dag C, a sum of terms X rho Y^T for
     the pairs (X, Y) = (K, I), (I, conj K) and (rate C, conj C).  Entry
     (p, q) feeds entry (i, j) through a term when X[i, p] Y[j, q] != 0,
     so the reached entries are the fixed point of
     R <- R | sum pat(X) R pat(Y)^T from the support of ``rho0`` and its
     transpose, and on them L is the sum of X[a][:, a] * Y[b][:, b], the
-    rows and columns of X kron Y at those entries.  The pairs come in
-    conjugates, so R is symmetric.  Under the RWA Hamiltonian R keeps the excitation-number
-    differences of ``rho0``'s entries; a dense H reaches every entry."""
+    rows and columns of X kron Y at those entries.  R is symmetric and L
+    preserves Hermiticity, so on the coordinates x = Re rho[a, b] for
+    a <= b, Im rho[a, b] for a > b it is the real B L A, with A mapping x
+    to the entries and B back (Breuer & Petruccione sec. 3.2).  Under the
+    RWA Hamiltonian R keeps the excitation-number differences of
+    ``rho0``'s entries; a dense H reaches every entry."""
     k = -1j * TWO_PI * h_hz - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in jumps)
     eye = np.eye(len(h_hz))
     terms = [(k, eye), (eye, k.conj())] + [(rate * op, op.conj()) for rate, op in jumps]
@@ -394,40 +397,49 @@ def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
     while not np.array_equal(grown := reach | (sum(x @ reach @ y for x, y in pats) > 0), reach):
         reach = grown
     a, b = np.nonzero(reach)
-    return a, b, sum(x[a][:, a] * y[b][:, b] for x, y in terms)
+    liouvillian = sum(x[a][:, a] * y[b][:, b] for x, y in terms)
+    # x_j enters rho[a_j, b_j] times w_j and its transpose partner times conj(w_j)
+    w = np.where(a < b, 1.0, np.where(a > b, 1j, 0.5))
+    la = liouvillian * w + liouvillian[:, np.lexsort((a, b))] * w.conj()
+    return a, b, np.where((a <= b)[:, None], la.real, la.imag)
 
 
-def _propagate(a: np.ndarray, b: np.ndarray, liouvillian: np.ndarray,
+def _entries(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The entries rho[a, b], exactly Hermitian, from their coordinates x (last axis)."""
+    partner = x[..., np.lexsort((a, b))]  # the reached set is symmetric
+    return np.where(a <= b, x, partner) + 1j * (a != b) * np.where(a > b, x, -partner)
+
+
+def _propagate(a: np.ndarray, b: np.ndarray, generator: np.ndarray,
                rho0: np.ndarray, duration: float, n_records: int):
-    """(times, records, final): the entries rho[a, b] at
+    """(times, records, final): the real coordinates of rho[a, b] at
     linspace(0, duration, n_records), one row per record, and the
-    full-space state at ``duration``, from ``_restrict``'s entries and L
-    on them.  Record k is P^k rho0 with P = exp(L dt) the step propagator
-    over the record spacing, so the final state is the last of two or
-    more records, and exp(L duration) rho0 otherwise."""
+    full-space state at ``duration``, from ``_restrict``'s entries and
+    generator G.  Record k is P^k x0 with P = exp(G dt), so the final
+    state is the last of two or more records, and exp(G duration) x0
+    otherwise; ``ValueError`` if the coordinates leave the float range."""
     from scipy.linalg import expm
 
     times = np.linspace(0.0, duration, n_records)
-    vecs = np.empty((n_records + 1, len(a)), dtype=complex)  # records, then final
-    vecs[0] = rho0[a, b]
+    records = np.empty((n_records, len(a)))
+    records[:1] = x0 = np.where(a <= b, rho0[a, b].real, rho0[a, b].imag)
     if n_records >= 2:
         # doubling: P^m maps records 0..m-1 onto records m..2m-1
-        filled, power = 1, expm(liouvillian * times[1])
+        filled, power = 1, expm(generator * times[1])
         while filled < n_records:
             take = min(filled, n_records - filled)
-            np.matmul(vecs[:take], power.T, out=vecs[filled:filled + take])
+            np.matmul(records[:take], power.T, out=records[filled:filled + take])
             filled += take
-            power = power @ power
-        vecs[-1] = vecs[-2]
+            power = power @ power if filled < n_records else power  # no record uses the last
+        last = records[-1]
     else:
-        vecs[-1] = expm(liouvillian * duration) @ vecs[0]
-    # discard roundoff antihermiticity: the reached set is symmetric, so
-    # its entries in column-major order are the transposes of (a, b)
-    vecs += vecs[:, np.lexsort((a, b))].conj()
-    vecs *= 0.5
+        last = expm(generator * duration) @ x0
+    if not (np.isfinite(records).all() and np.isfinite(last).all()):
+        raise ValueError(f"Lindblad propagation over {duration:.3g} s at rates up to "
+                         f"{np.abs(generator).max():.3g}/s leaves the float range")
     final = np.zeros_like(rho0)
-    final[a, b] = vecs[-1]
-    return times, vecs[:n_records], final
+    final[a, b] = _entries(a, b, last)
+    return times, records, final
 
 
 def evolve(
@@ -446,11 +458,12 @@ def evolve(
     of ``rho0.dims`` (lowering-operator dissipators); optional
     ``dephasing_rates`` add number-operator dissipators producing pure
     dephasing at the given rates.  The generator is constant, so the
-    state is propagated exactly, rho(t) = exp(L t) rho0, on the m
-    entries of rho that the evolution reaches from rho0 (``_restrict``),
-    where L is a dense m x m matrix; every other entry stays zero.
-    ``dt`` sets no step: it is only a precondition,
-    dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
+    state is propagated exactly, x(t) = exp(G t) x0, on the real
+    coordinates x of the m entries of rho that the evolution reaches
+    from rho0, where G is a real m x m matrix (``_restrict``); every
+    other entry stays zero.  H must be Hermitian within 1e-10 of its
+    norm, else ``ValueError``.  ``dt`` sets no step: it is only a
+    precondition, dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
 
     ``snapshots`` holds exactly ``n_records`` states at
     linspace(0, duration, n_records); ``final`` is always the state at
@@ -469,6 +482,8 @@ def evolve(
         raise ValueError("duration must be >= 0")
 
     h_hz = np.asarray(h_hz, dtype=complex)
+    if np.linalg.norm(h_hz - h_hz.conj().T) > 1e-10 * np.linalg.norm(h_hz):
+        raise ValueError("Hamiltonian is not Hermitian within 1e-10 of its norm")
     if dt is not None:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -481,10 +496,10 @@ def evolve(
                 f"dt = {dt:.3g} s exceeds 0.01/max(|H|/h, Gamma) = {dt_max:.3g} s"
             )
 
-    a, b, liouvillian = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
-    times, records, final = _propagate(a, b, liouvillian, rho0.matrix, duration, n_records)
+    a, b, generator = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
+    times, records, final = _propagate(a, b, generator, rho0.matrix, duration, n_records)
     snapshots = np.zeros((n_records,) + final.shape, dtype=complex)
-    snapshots[:, a, b] = records
+    snapshots[:, a, b] = _entries(a, b, records)
     return EvolutionResult(final=DensityMatrix(dims, final), times=times, snapshots=snapshots)
 
 
@@ -588,21 +603,18 @@ def iswap(
         decay = [0.0, 0.0]
         dephasing = [0.0, 0.0]
 
-    a, b, liouvillian = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
+    a, b, generator = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
     # run past the nominal gate time so the first transfer maximum is
     # bracketed by recorded samples
     window = max(gate_time, 1.25 / (4.0 * eff.g_eff))
-    times, records, _ = _propagate(a, b, liouvillian, rho0.matrix, window, n_records)
-    # product-level populations down the records, zero where never reached
-    diagonal = a == b
-    pops = np.zeros((len(times), len(h)))
-    pops[:, a[diagonal]] = np.real(records[:, diagonal])
-    pop_e0 = pops[:, np.ravel_multi_index((1, 0), dims)]
-    pop_g1 = pops[:, np.ravel_multi_index((0, 1), dims)]
+    times, records, _ = _propagate(a, b, generator, rho0.matrix, window, n_records)
+    # populations from the diagonal coordinates, zero where never reached
+    pop_e0, pop_g1 = (records[:, (a == k) & (b == k)].sum(axis=1)
+                      for k in np.ravel_multi_index(([1, 0], [0, 1]), dims))
     transfer_time = _first_maximum(times, pop_g1)
 
     # state and populations are reported at the gate time itself
-    rho_final = DensityMatrix(dims, _propagate(a, b, liouvillian, rho0.matrix, gate_time, 0)[2])
+    rho_final = DensityMatrix(dims, _propagate(a, b, generator, rho0.matrix, gate_time, 0)[2])
     populations = _populations(rho_final)
 
     if rho0.purity > 1.0 - 1e-6:
@@ -613,12 +625,15 @@ def iswap(
         psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
         energies, basis = np.linalg.eigh(h[block])
         coeffs = basis.conj().T @ psi0
-        phases = np.exp(-1j * TWO_PI * np.outer(times, energies))
-        ideal = (phases * coeffs) @ basis.T
-        # <ideal| rho |ideal> over the reached entries
-        dense = np.zeros((len(times), len(idx), len(idx)), dtype=complex)
-        dense[:, np.searchsorted(idx, a), np.searchsorted(idx, b)] = records
-        fidelity = np.real(np.einsum("ti,tij,tj->t", ideal.conj(), dense, ideal))
+        ideal = (np.exp(np.outer(times, -1j * TWO_PI * energies)) * coeffs) @ basis.T
+        # <ideal| rho |ideal> = sum over a <= b of (2 - [a = b]) Re(z rho[a, b])
+        # with z = conj(ideal[a]) ideal[b], that is Re z x_ab + Im z x_ba
+        up = np.flatnonzero(a <= b)
+        z = ideal[:, np.searchsorted(idx, a[up])].conj()
+        z *= ideal[:, np.searchsorted(idx, b[up])]
+        z.real *= records[:, up]
+        z.imag *= records[:, np.lexsort((a, b))[up]]
+        fidelity = (z.real + z.imag) @ np.where(a[up] < b[up], 2.0, 1.0)
         psi_gate = basis @ (np.exp(-1j * TWO_PI * energies * gate_time) * coeffs)
         swap_fidelity = float(np.real(psi_gate.conj() @ rho_final.matrix[block] @ psi_gate))
     else:

@@ -486,6 +486,53 @@ def test_resonance_of_underflowing_lc_product_is_rejected(capsys, tmp_path, data
     assert code == 2 and "underflows to 0" in err
 
 
+# the gate time reaches 1e65 s or more, where exp(L t) at a decay rate of
+# 1e4/s leaves the float range; Cr_F = 1e-300 and Cm_F = 1e300 also warn
+# that Cr is not large compared to C0 + Cm
+@pytest.mark.parametrize("section, field, value, warns", [
+    ("bvd", "Lm_H", 1e300, False),
+    ("shunt", "Lr_H", 1e300, False),
+    ("bvd", "Lm_H", 1e-300, False),
+    ("shunt", "Cr_F", 1e-300, True),
+    ("bvd", "Cm_F", 1e-300, False),
+    ("bvd", "Cm_F", 1e300, True),
+    ("shunt", "Cr_F", 1e300, False),
+])
+def test_iswap_at_extreme_circuit_values_is_a_one_line_error(capsys, tmp_path, data_dir, section, field, value, warns):
+    path = _config_with(tmp_path, data_dir, section, **{field: value})
+    if warns:
+        with pytest.warns(UserWarning, match="Cr is not large"):
+            code, out, err = run_cli(capsys, "iswap", "--config", path)
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        code, err = run_one_line_error(capsys, "iswap", "--config", path)
+    assert code == 2 and "Lindblad propagation" in err and "leaves the float range" in err
+
+
+@pytest.mark.parametrize("field", ["Cm_F", "C0_F"])
+def test_couple_shows_a_warning_as_one_line(capsys, tmp_path, data_dir, field):
+    path = _config_with(tmp_path, data_dir, "bvd", **{field: 1e300})
+    with pytest.warns(UserWarning, match="Cr is not large"):
+        payload = run_json(capsys, "couple", "--config", path)
+    proc = _run_module("couple", "--config", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("warning: Cr is not large compared to C0 + Cm")
+    assert json.loads(proc.stdout) == payload
+
+
+@pytest.mark.parametrize("q", [1.0, 100.0])
+def test_duffing_sweep_default_window_at_low_q(capsys, tmp_path, data_dir, q):
+    # f0 (1 - 100/Q) is not positive here, so the window starts at f0/(1 + 100/Q)
+    path = _config_with(tmp_path, data_dir, "duffing", Q=q, drive_m_Hz2=5e11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(capsys, "duffing-sweep", "--config", path, "--points", "201")
+    f0 = 97.2e6
+    assert f0 / (1.0 + 100.0 / q) <= payload["peak_frequency_Hz"] <= f0 * (1.0 + 100.0 / q)
+    assert payload["peak_amplitude"] > 0.0
+
+
 def test_qvt_trial_step_past_exp_range_is_rejected(capsys, tmp_path, data_dir):
     # trf sends a log parameter of the reference template past exp's range;
     # the fit rejects that step and ends on the template's degeneracy

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ def test_evolve_step_too_large():
         evolve(rho0, h, [0.0, 0.0], duration=1e-3, dt=1.0)
 
 
+def test_evolve_rejects_non_hermitian_hamiltonian():
+    rho0 = DensityMatrix.basis((2, 2), (1, 0))
+    h = np.diag([0.0, 0.0, 1e6, 1e6]).astype(complex)
+    h[0, 2] = 1e-3 * 1e6  # no matching h[2, 0]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve(rho0, h, [0.0, 0.0], duration=1e-6)
+    h[2, 0] = h[0, 2] * (1.0 + 1e-13)  # within 1e-10 of the norm
+    assert evolve(rho0, h, [0.0, 0.0], duration=1e-6).final.population((1, 0)) < 1.0
+
+
 def test_evolve_dephasing_rate_convention():
     # coherence of a superposition decays at the pure-dephasing rate
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -384,7 +395,7 @@ def test_lindblad_integrity_randomized():
         result = evolve(rho0, h, decay, duration=2.0 / scale,
                         dt=0.005 / scale, dephasing_rates=dephase, n_records=5)
         for snapshot in result.snapshots:
-            assert np.max(np.abs(snapshot - snapshot.conj().T)) < 1e-10
+            assert np.array_equal(snapshot, snapshot.conj().T)
             assert abs(np.trace(snapshot).real - 1.0) < 1e-9
             assert np.min(np.linalg.eigvalsh(snapshot)) > -1e-9
 
@@ -411,7 +422,7 @@ def test_lindblad_records_are_states_property(dims, data):
     rho0 = DensityMatrix.from_state_vector(dims, psi)
     result = evolve(rho0, h, rates[:2], duration, dephasing_rates=rates[2:], n_records=4)
     for snapshot in result.snapshots:
-        assert np.max(np.abs(snapshot - snapshot.conj().T)) < 1e-10
+        assert np.array_equal(snapshot, snapshot.conj().T)
         assert abs(np.trace(snapshot).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(snapshot)) > -1e-9
 
@@ -521,6 +532,45 @@ def test_evolve_returns_exactly_n_records(n_records):
                                   [duration])[0]
     assert np.max(np.abs(result.final.matrix - expected)) < 1e-10
     assert result.final.population((1, 0)) < 0.99
+
+
+@settings(max_examples=40, deadline=None)
+@given(d_m=st.integers(2, 5), dissipation=st.booleans(), n_records=st.integers(2, 24),
+       rates=hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1e5)), data=st.data())
+def test_iswap_matches_full_space_reference(d_m, dissipation, n_records, rates, data):
+    # populations, fidelity and the gate-time state of drawn pure states
+    # against expm of the unrestricted Liouvillian and the unitary
+    dims = (2, d_m)
+    v = data.draw(unit_floats((2, 2 * d_m)))
+    psi = v[0] + 1j * v[1]
+    assume(np.linalg.norm(psi) > 1e-3)
+    rho0 = DensityMatrix.from_state_vector(dims, psi)
+    gamma_q, dephasing_q, gamma_m, dephasing_m = rates
+    system = TriModeSystem(
+        qubit=ModeParams(F_Q, decay_rate=gamma_q, anharmonicity=200e6, dephasing_rate=dephasing_q),
+        snail=ModeParams(F_S, decay_rate=0.0),
+        mech=ModeParams(F_M, decay_rate=gamma_m, dephasing_rate=dephasing_m),
+        g_qs=0.1 * (F_Q - F_S), g_sm=G_SM, g3=100e6,
+    )
+    result = iswap(system, paper_drive(), rho0=rho0, d_m=d_m, dissipation=dissipation,
+                   n_records=n_records)
+    h = build_rwa_hamiltonian(replace(effective_coupling(system, paper_drive()),
+                                      drive_phase=math.pi), dims)
+    q = dynamics._embed(dynamics._destroy(2), dims, 0)
+    m = dynamics._embed(dynamics._destroy(d_m), dims, 1)
+    jumps = [(gamma_q, q), (gamma_m, m), (2.0 * dephasing_q, q.T @ q),
+             (2.0 * dephasing_m, m.T @ m)] if dissipation else []
+    states = full_space_records(rho0.matrix, h, jumps, list(result.times) + [result.gate_time])
+    e0, g1 = (int(np.ravel_multi_index(level, dims)) for level in ((1, 0), (0, 1)))
+    assert np.max(np.abs(result.pop_e0 - states[:-1, e0, e0].real)) < 1e-10
+    assert np.max(np.abs(result.pop_g1 - states[:-1, g1, g1].real)) < 1e-10
+    psi0 = psi / np.linalg.norm(psi)
+    ideal = np.array([expm(-2j * math.pi * h * t) @ psi0 for t in result.times])
+    fidelity = np.real(np.einsum("ti,tij,tj->t", ideal.conj(), states[:-1], ideal))
+    assert np.max(np.abs(result.fidelity - fidelity)) < 1e-10
+    expected = DensityMatrix(dims, states[-1])
+    for key, levels in (("g0", (0, 0)), ("g1", (0, 1)), ("e0", (1, 0)), ("e1", (1, 1))):
+        assert abs(result.populations[key] - expected.population(levels)) < 1e-10
 
 
 @pytest.mark.parametrize("n_records", [0, 2, 37, 1001])
