@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table
-from .errors import NonDecayingTrace, NoPeakFound
+from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,18 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
         return np.real(np.conj(m)[:, None] * dm) / np.abs(m)[:, None]
 
     theta0 = np.array([f0_init, math.log(q_init), height, 0.0, bg_init])
-    lower = [f[0], math.log(1e-3), -np.inf, -np.inf, 0.0]
-    upper = [f[-1], math.log(1e12), np.inf, np.inf, np.inf]
     result, sigma, _ = fit_least_squares(
-        "Lorentzian", residuals, theta0, jac=jacobian, bounds=(lower, upper),
-        method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
+        "Lorentzian", residuals, theta0, jac=jacobian,
+        method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
     )
 
     f0, log_q, re_a, im_a, bg = result.x
+    if not (np.isfinite(result.x).all() and f[0] <= f0 <= f[-1]
+            and math.log(1e-3) <= log_q <= math.log(1e12)):
+        raise FitDidNotConverge(f"Lorentzian fit failed: f0 {f0:.6g} Hz outside the trace"
+                                f" or ln Q {log_q:.3g} outside [ln 1e-3, ln 1e12]")
+    if bg < 0.0:  # |bg + A/denom| is even in (bg, A): report bg >= 0
+        bg, re_a, im_a = -bg, -re_a, -im_a
     q = math.exp(log_q)
     uncertainties = {
         "f0": sigma[0],

@@ -14,6 +14,7 @@ and sweep-direction hysteresis.  beta > 0 is the stiffening convention
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,6 +175,26 @@ def _follow_branch(lower: np.ndarray, upper: np.ndarray, start_upper: bool) -> n
     return value[last] ^ ((flips - flips[last]) % 2 == 1)
 
 
+@functools.lru_cache(maxsize=1)
+def _window_states(p: DuffingParams, f_lo: float, f_hi: float, n_points: int):
+    """The grid of a sweep window, the lowest and highest state the response
+    can ride at each point (read-only arrays) and the bistable range.  The
+    two directions of a hysteresis loop share this solve, so the last
+    window is kept; only the last, so every other window is solved afresh.
+    """
+    freqs = np.linspace(f_lo, f_hi, n_points)
+    states, stable = _steady_states(p, freqs)
+    # the response rides the lowest or the highest stable state (the middle
+    # of three is unstable); every state counts if none is stable
+    keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
+    lower = np.where(keep, states, np.inf).min(axis=1)
+    upper = np.where(keep, states, -np.inf).max(axis=1)
+    _check_finite(p, "swept amplitude", lower, upper)
+    for arr in (freqs, lower, upper):
+        arr.flags.writeable = False
+    return freqs, lower, upper, _bistable_range(p, f_lo, f_hi)
+
+
 def sweep(
     p: DuffingParams,
     f_start: float,
@@ -187,19 +208,14 @@ def sweep(
     exist, then jumps to the nearest remaining stable amplitude; forward
     and backward sweeps therefore differ only inside the bistable range.
     ``direction`` is "forward" (increasing f) or "backward"; f_start and
-    f_end give the frequency window either way.
+    f_end give the frequency window either way.  The two directions share
+    one solve of the window and its read-only ``frequencies`` array.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    f_lo, f_hi = min(f_start, f_end), max(f_start, f_end)
+    f_lo, f_hi = float(min(f_start, f_end)), float(max(f_start, f_end))
     _check_finite(p, "sweep window", f_lo, f_hi)
-    freqs = np.linspace(f_lo, f_hi, n_points)
-    states, stable = _steady_states(p, freqs)
-    # the response rides the lowest or the highest stable state (the middle
-    # of three is unstable); every state counts if none is stable
-    keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
-    lower = np.where(keep, states, np.inf).min(axis=1)
-    upper = np.where(keep, states, -np.inf).max(axis=1)
+    freqs, lower, upper, bistable = _window_states(p, f_lo, f_hi, n_points)
     if direction == "backward":
         lower, upper = lower[::-1], upper[::-1]
 
@@ -215,7 +231,7 @@ def sweep(
         frequencies=freqs,
         amplitudes=amps,
         branch_labels=tuple(labels.tolist()),
-        bistable_range=_bistable_range(p, f_lo, f_hi),
+        bistable_range=bistable,
     )
 
 

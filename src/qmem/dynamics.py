@@ -324,7 +324,10 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
             raise ValueError("density matrix trace differs from 1 by more than 1e-9")
-        if float(np.min(np.linalg.eigvalsh(rho))) < -1e-9:
+        # zero rows and columns add only zero eigenvalues, so the support
+        # block decides positivity alone
+        block = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+        if float(np.min(np.linalg.eigvalsh(rho[block][:, block]))) < -1e-9:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", rho)

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmem import analysis
 from qmem.analysis import (
     fit_lorentzian,
     fit_ringdown,
@@ -8,8 +13,8 @@ from qmem.analysis import (
     load_time_trace_csv,
     q_tau_consistency,
 )
-from qmem.core import FrequencyTrace, TimeTrace, angular
-from qmem.errors import NonDecayingTrace, NoPeakFound
+from qmem.core import FrequencyTrace, TimeTrace, angular, fit_least_squares
+from qmem.errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
 def lorentzian_trace(f0=97.2e6, q=6.8e5, amp=1.0, bg=0.05, span=3e3, n=401,
@@ -74,6 +79,63 @@ def test_lorentzian_frequency_offset_covariance():
     assert fit2.f0 == pytest.approx(fit1.f0 + shift, abs=1e-3)
     # the absolute linewidth, not Q itself, is the offset-invariant quantity
     assert fit2.f0 / fit2.Q == pytest.approx(fit1.f0 / fit1.Q, rel=1e-6)
+
+
+def _resonance(bg, phase, noise, seed, n):
+    """|bg + e^(i phase)/(1 + 2iQ(f - f0)/f0)| over +-10.5 linewidths, with
+    multiplicative noise."""
+    f0, q = 97.2e6, 6.8e5
+    f = np.linspace(f0 - 1.5e3, f0 + 1.5e3, n)
+    y = np.abs(bg + np.exp(1j * phase) / (1.0 + 2j * q * (f - f0) / f0))
+    return FrequencyTrace(f, y * (1.0 + noise * np.random.default_rng(seed).standard_normal(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bg=st.floats(0.01, 0.3), phase=st.floats(-math.pi, math.pi),
+    noise=st.floats(0.0, 1e-2), seed=st.integers(0, 2**32 - 1),
+)
+def test_lorentzian_recovery_property(bg, phase, noise, seed):
+    # 2,001 points keep the statistical Q error at 1e-2 noise near 0.5 %
+    trace = _resonance(bg, phase, noise, seed, 2001)
+    fit = fit_lorentzian(trace)
+    assert fit.background >= 0.0
+    assert trace.frequencies[0] <= fit.f0 <= trace.frequencies[-1]
+    assert fit.Q == pytest.approx(6.8e5, rel=0.02)
+    assert fit.f0 == pytest.approx(97.2e6, rel=1e-6)
+
+
+@pytest.mark.xfail(raises=FitDidNotConverge, strict=True, reason=(
+    "at a background near 0 the phase of A barely changes |m|, and lm "
+    "exhausts its evaluations in that flat direction"))
+def test_lorentzian_with_background_near_zero_converges():
+    fit = fit_lorentzian(_resonance(1e-3, 1.0, 1e-3, 0, 401))
+    assert fit.Q == pytest.approx(6.8e5, rel=0.02)
+
+
+def test_lorentzian_reports_the_mirror_of_a_negative_background(monkeypatch):
+    # |bg + A/denom| is even in (bg, A): a solution with bg < 0 is reported
+    # as its mirror, with the same uncertainties
+    trace = lorentzian_trace(noise=0.005, seed=5)
+    direct = fit_lorentzian(trace)
+
+    def mirrored(*args, **kwargs):
+        result, sigma, singular_values = fit_least_squares(*args, **kwargs)
+        result.x = result.x * np.array([1.0, 1.0, -1.0, -1.0, -1.0])
+        return result, sigma, singular_values
+
+    monkeypatch.setattr(analysis, "fit_least_squares", mirrored)
+    assert fit_lorentzian(trace) == direct
+
+
+def test_lorentzian_centred_outside_the_trace_raises():
+    # the wing of a resonance 3 to 20 linewidths above its centre
+    f0, q = 97.2e6, 6.8e5
+    f = np.linspace(f0 + 3.0 * f0 / q, f0 + 20.0 * f0 / q, 201)
+    y = np.abs(1.0 / (1.0 + 2j * q * (f - f0) / f0))
+    with pytest.raises(FitDidNotConverge, match="outside the trace") as info:
+        fit_lorentzian(FrequencyTrace(f, y))
+    assert "\n" not in str(info.value)
 
 
 def test_ringdown_noiseless_round_trip():

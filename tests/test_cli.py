@@ -467,6 +467,7 @@ def run_one_line_error(capsys, *argv):
     ("backbone", "Q", 1e300),
     ("backbone", "Q", 1e-300),
     ("duffing-sweep", "Q", 1e-300),  # the default window f0 (1 +- 100/Q)
+    ("duffing-sweep", "Q", 1e-30),  # a window point without a root: the sweep gave inf
     ("duffing-sweep", "Q", 1e300),  # G = F^2 |beta| Q^3/f0^6 of the bistable edges
 ])
 def test_duffing_overflow_is_a_one_line_error(capsys, tmp_path, data_dir, command, field, value):

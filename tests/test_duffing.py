@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmem import duffing
 from qmem.duffing import (
     BackboneFit,
     DuffingParams,
@@ -434,8 +435,14 @@ def test_branch_follower_matches_scalar_loop(pairs, start_upper):
 def test_sweep_matches_scalar_branch_loop(p, data, direction, n_points):
     # stiffening and softening, zero drive included, either direction
     lo, hi = _window(p, data)
-    result = sweep(p, lo, hi, direction, n_points=n_points)
     amps, labels, bistable = _sweep_reference(p, lo, hi, direction, n_points)
+    if not np.isfinite(amps).all():
+        # far below the onset the cubic's one root can be lost to roundoff,
+        # leaving a frequency with no amplitude: the sweep refuses it
+        with pytest.raises(ValueError, match="swept amplitude"):
+            sweep(p, lo, hi, direction, n_points=n_points)
+        return
+    result = sweep(p, lo, hi, direction, n_points=n_points)
     np.testing.assert_array_equal(result.amplitudes, amps)
     assert result.branch_labels == labels
     assert result.bistable_range == bistable
@@ -491,3 +498,92 @@ def test_params_reject_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         DuffingParams(**kwargs)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the window solves that ``sweep`` makes, from an empty cache."""
+    calls = []
+
+    def counting(p, freqs):
+        calls.append((p, freqs.size))
+        return _steady_states(p, freqs)
+
+    monkeypatch.setattr(duffing, "_steady_states", counting)
+    duffing._window_states.cache_clear()
+    yield calls
+    duffing._window_states.cache_clear()
+
+
+def _loop(p, window=(F0 * (1 - 30 / Q), F0 * (1 + 60 / Q)), n_points=501):
+    return [sweep(p, *window, direction, n_points=n_points) for direction in ("forward", "backward")]
+
+
+def test_hysteresis_loop_solves_its_window_once(solves):
+    p = stiff_params(3.0 * _onset(F0, Q, 2e21))
+    forward, backward = _loop(p)
+    assert len(solves) == 1
+    # the backward sweep, given the window either way round, reuses it too
+    again = sweep(p, F0 * (1 + 60 / Q), F0 * (1 - 30 / Q), "backward", n_points=501)
+    assert len(solves) == 1
+    assert again.amplitudes.tobytes() == backward.amplitudes.tobytes()
+    assert forward.bistable_range == backward.bistable_range is not None
+
+
+def test_changed_drive_window_or_grid_solves_again(solves):
+    p = stiff_params(3e11)
+    _loop(p)
+    _loop(stiff_params(3.5e11))
+    _loop(stiff_params(3.5e11), window=(F0 * (1 - 20 / Q), F0 * (1 + 60 / Q)))
+    _loop(stiff_params(3.5e11), window=(F0 * (1 - 20 / Q), F0 * (1 + 60 / Q)), n_points=401)
+    assert [size for _, size in solves] == [501, 501, 501, 401]
+
+
+def test_window_cache_holds_one_window(solves):
+    a, b = stiff_params(3e11), stiff_params(2e11, beta=-2e21)
+    for p in (a, b, a):
+        sweep(p, F0 * (1 - 30 / Q), F0 * (1 + 60 / Q), n_points=501)
+    assert [p for p, _ in solves] == [a, b, a]
+
+
+def test_sweeps_after_cache_clear_are_bit_identical(solves):
+    p = stiff_params(3e11)
+    cached = _loop(p)
+    duffing._window_states.cache_clear()
+    fresh = _loop(p)
+    assert len(solves) == 2
+    for old, new in zip(cached, fresh):
+        assert old.frequencies.tobytes() == new.frequencies.tobytes()
+        assert old.amplitudes.tobytes() == new.amplitudes.tobytes()
+        assert old.branch_labels == new.branch_labels
+        assert old.bistable_range == new.bistable_range
+
+
+def test_sweep_results_cannot_change_the_cached_window(solves):
+    p = stiff_params(3e11)
+    forward = sweep(p, F0 * (1 - 30 / Q), F0 * (1 + 60 / Q), n_points=501)
+    expected = forward.amplitudes.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        forward.frequencies[0] = 0.0
+    for arr in duffing._window_states(p, F0 * (1 - 30 / Q), F0 * (1 + 60 / Q), 501)[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    forward.amplitudes[:] = -1.0  # the caller's own array
+    again = sweep(p, F0 * (1 - 30 / Q), F0 * (1 + 60 / Q), n_points=501)
+    assert len(solves) == 1
+    assert again.amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    # past the first point of the CLI's default window f0/(1 + 100/Q) to
+    # f0 (1 + 100/Q), the cubic has no positive root
+    DuffingParams(f0=F0, Q=1e-30, beta=5e8, drive=5e11),
+    # 1e-14 of the onset: the one root, u ~ -c0/c1, is lost to roundoff
+    DuffingParams(f0=F0, Q=Q, beta=2e21, drive=1e-14 * _onset(F0, Q, 2e21)),
+])
+def test_non_finite_swept_amplitude_raises_before_caching(solves, p):
+    # the sweep used to return +-inf amplitudes here
+    span = 100 / p.Q
+    with pytest.raises(ValueError, match="swept amplitude overflows the float range"):
+        sweep(p, F0 / (1 + span), F0 * (1 + span), n_points=101)
+    assert duffing._window_states.cache_info().currsize == 0

@@ -378,6 +378,37 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    eigenvalues=st.lists(
+        st.one_of(st.floats(-0.2, 1.0), st.sampled_from([0.0, -1e-8, -1e-10, 1e-12])),
+        min_size=1, max_size=6,
+    ),
+    pad=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_on_the_support_block_matches_full_space(eigenvalues, pad, seed):
+    # a Hermitian block with drawn spectrum, scattered among zero rows and
+    # columns: DensityMatrix decides positivity as eigvalsh on the full space
+    lam = np.array(eigenvalues)
+    assume(lam.sum() > 0.1)
+    lam /= lam.sum()
+    k, rng = lam.size, np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    block = (u * lam) @ u.conj().T
+    block = 0.5 * (block + block.conj().T)
+    rho = np.zeros((k + pad, k + pad), dtype=complex)
+    where = rng.permutation(k + pad)[:k]
+    rho[np.ix_(where, where)] = block
+    lowest = float(np.min(np.linalg.eigvalsh(rho)))
+    assume(abs(lowest + 1e-9) > 1e-14)  # clear of roundoff at the floor
+    if lowest < -1e-9:
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            DensityMatrix((k + pad,), rho)
+    else:
+        DensityMatrix((k + pad,), rho)
+
+
 def test_lindblad_integrity_randomized():
     rng = np.random.default_rng(2026)
     for _ in range(100):
