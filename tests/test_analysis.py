@@ -81,15 +81,6 @@ def test_lorentzian_frequency_offset_covariance():
     assert fit2.f0 / fit2.Q == pytest.approx(fit1.f0 / fit1.Q, rel=1e-6)
 
 
-def _resonance(bg, phase, noise, seed, n):
-    """|bg + e^(i phase)/(1 + 2iQ(f - f0)/f0)| over +-10.5 linewidths, with
-    multiplicative noise."""
-    f0, q = 97.2e6, 6.8e5
-    f = np.linspace(f0 - 1.5e3, f0 + 1.5e3, n)
-    y = np.abs(bg + np.exp(1j * phase) / (1.0 + 2j * q * (f - f0) / f0))
-    return FrequencyTrace(f, y * (1.0 + noise * np.random.default_rng(seed).standard_normal(n)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     bg=st.floats(0.01, 0.3), phase=st.floats(-math.pi, math.pi),
@@ -97,7 +88,7 @@ def _resonance(bg, phase, noise, seed, n):
 )
 def test_lorentzian_recovery_property(bg, phase, noise, seed):
     # 2,001 points keep the statistical Q error at 1e-2 noise near 0.5 %
-    trace = _resonance(bg, phase, noise, seed, 2001)
+    trace = lorentzian_trace(amp=np.exp(1j * phase), bg=bg, n=2001, noise=noise, seed=seed)
     fit = fit_lorentzian(trace)
     assert fit.background >= 0.0
     assert trace.frequencies[0] <= fit.f0 <= trace.frequencies[-1]
@@ -109,7 +100,7 @@ def test_lorentzian_recovery_property(bg, phase, noise, seed):
     "at a background near 0 the phase of A barely changes |m|, and lm "
     "exhausts its evaluations in that flat direction"))
 def test_lorentzian_with_background_near_zero_converges():
-    fit = fit_lorentzian(_resonance(1e-3, 1.0, 1e-3, 0, 401))
+    fit = fit_lorentzian(lorentzian_trace(amp=np.exp(1j), bg=1e-3, noise=1e-3))
     assert fit.Q == pytest.approx(6.8e5, rel=0.02)
 
 
