@@ -389,6 +389,8 @@ def cmd_couple(args) -> tuple[dict, list | None]:
 
 
 def cmd_iswap(args) -> tuple[dict, list | None]:
+    if args.d_m > 100:  # |e,0> reaches 3 states, but the closure spans all 2 d_m
+        raise ConfigError(f"--d-m must be at most 100, got {args.d_m}")
     config = load_config(args.config)
     from . import dynamics
     chain = _derivation(config)
@@ -674,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("iswap", cmd_iswap, help="swap-gate simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--dissipation", choices=("on", "off"), default="on")
-    p.add_argument("--d-m", type=int, default=5, help="mechanics Fock cutoff")
+    p.add_argument("--d-m", type=int, default=5, help="mechanics Fock cutoff, 2 to 100")
 
     p = add("fit-lorentzian", cmd_fit_lorentzian, help="fit a resonance trace")
     p.add_argument("file", help="CSV with header f_Hz,mag or f_Hz,re,im")

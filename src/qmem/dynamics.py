@@ -260,17 +260,12 @@ def effective_coupling(system: TriModeSystem, drive: DriveSpec) -> EffectiveHami
     )
 
 
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), k=1)
-
-
-def _embed(op: np.ndarray, dims: tuple[int, ...], which: int) -> np.ndarray:
-    mats = [np.eye(d) for d in dims]
-    mats[which] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _lowering(dims: tuple[int, ...], which: int) -> np.ndarray:
+    """Lowering operator of mode ``which`` on the product space of ``dims``, last
+    mode fastest: <i| a |i + stride> = sqrt(that mode's level in i + stride)."""
+    stride = math.prod(dims[which + 1:])
+    level = (np.arange(math.prod(dims)) // stride) % dims[which]
+    return np.diag(np.sqrt(level[stride:]), stride)
 
 
 def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> np.ndarray:
@@ -288,14 +283,14 @@ def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> n
         raise ValueError("qubit dimension must be 2 or 3")
     if d_m < 2:
         raise ValueError("mechanics Fock cutoff must be >= 2")
-    q = _embed(_destroy(d_q), dims, 0)
-    m = _embed(_destroy(d_m), dims, 1)
+    q = _lowering(dims, 0)
+    m = _lowering(dims, 1)
     exchange = eff.g_eff * cmath.exp(-1j * eff.drive_phase) * (q @ m.conj().T)
     h = exchange + exchange.conj().T
     number_q = q.conj().T @ q
     h = h + 0.5 * eff.qubit_self_kerr * (q.conj().T @ q.conj().T @ q @ q)
     if len(dims) == 3:
-        s = _embed(_destroy(dims[2]), dims, 2)
+        s = _lowering(dims, 2)
         h = h + eff.cross_kerr * (number_q @ (s.conj().T @ s))
     return h
 
@@ -342,10 +337,9 @@ class DensityMatrix:
     def basis(cls, dims, levels) -> "DensityMatrix":
         """Product basis state, e.g. ``basis((2, 5), (1, 0))`` for |e,0>."""
         dims = tuple(int(d) for d in dims)
-        index = int(np.ravel_multi_index(tuple(int(v) for v in levels), dims))
-        psi = np.zeros(int(np.prod(dims)), dtype=complex)
-        psi[index] = 1.0
-        return cls(dims, np.outer(psi, psi.conj()))
+        psi = np.zeros(int(np.prod(dims)))
+        psi[np.ravel_multi_index(tuple(int(v) for v in levels), dims)] = 1.0
+        return cls.from_state_vector(dims, psi)
 
     def population(self, levels) -> float:
         """Occupation of a product level, marginalizing unspecified modes."""
@@ -370,7 +364,7 @@ def _jump_operators(dims, decay: list, dephase: list) -> list:
     """(rate, C) pairs of the dissipators rate * D[C]: lowering operators
     at the decay rates and number operators at twice the dephasing rates,
     so that coherences decay at the stated rate.  Zero rates are dropped."""
-    lowering = [_embed(_destroy(d), dims, k) for k, d in enumerate(dims)]
+    lowering = [_lowering(dims, k) for k in range(len(dims))]
     return ([(g, a) for g, a in zip(decay, lowering) if g > 0.0]
             + [(2.0 * g, a.T @ a) for g, a in zip(dephase, lowering) if g > 0.0])
 
@@ -383,21 +377,23 @@ def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
     K = -2 pi i H - 1/2 sum rate C^dag C, a sum of terms X rho Y^T for
     the pairs (X, Y) = (K, I), (I, conj K) and (rate C, conj C).  Entry
     (p, q) feeds entry (i, j) through a term when X[i, p] Y[j, q] != 0,
-    so the reached entries are the fixed point of
-    R <- R | sum pat(X) R pat(Y)^T from the support of ``rho0`` and its
-    transpose, and on them L is the sum of X[a][:, a] * Y[b][:, b], the
-    rows and columns of X kron Y at those entries.  R is symmetric and L
-    preserves Hermiticity, so on the coordinates x = Re rho[a, b] for
-    a <= b, Im rho[a, b] for a > b it is the real B L A, with A mapping x
-    to the entries and B back (Breuer & Petruccione sec. 3.2).  Under the
-    RWA Hamiltonian R keeps the excitation-number differences of
-    ``rho0``'s entries; a dense H reaches every entry."""
+    so the reached entries are the fixed point of R <- R | pat(K) R +
+    R pat(K)^T + sum pat(C) R pat(C)^T (every rate is > 0) from the support
+    of ``rho0`` and its transpose, and on them L is the sum of
+    X[a][:, a] * Y[b][:, b], the rows and columns of X kron Y at those
+    entries.  R is symmetric and L preserves Hermiticity, so on the
+    coordinates x = Re rho[a, b] for a <= b, Im rho[a, b] for a > b it is
+    the real B L A, with A mapping x to the entries and B back (Breuer &
+    Petruccione sec. 3.2).  Under the RWA Hamiltonian R keeps the excitation
+    number differences of ``rho0``'s entries; a dense H reaches every entry."""
     k = -1j * TWO_PI * h_hz - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in jumps)
     eye = np.eye(len(h_hz))
     terms = [(k, eye), (eye, k.conj())] + [(rate * op, op.conj()) for rate, op in jumps]
-    pats = [((x != 0).astype(float), (y != 0).T.astype(float)) for x, y in terms]
+    pat_k = (k != 0).astype(float)
+    pat_c = np.array([op != 0 for _, op in jumps], dtype=float).reshape(-1, *k.shape)
     reach = (rho0 != 0) | (rho0.T != 0)
-    while not np.array_equal(grown := reach | (sum(x @ reach @ y for x, y in pats) > 0), reach):
+    while not np.array_equal(reach, grown := reach | (
+            pat_k @ reach + reach @ pat_k.T + (pat_c @ reach @ pat_c.mT).sum(axis=0) > 0)):
         reach = grown
     a, b = np.nonzero(reach)
     liouvillian = sum(x[a][:, a] * y[b][:, b] for x, y in terms)

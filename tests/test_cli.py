@@ -195,6 +195,21 @@ def test_iswap_rejects_fock_cutoff_below_two(capsys, data_dir, d_m):
     assert err == "error: mechanics Fock cutoff must be >= 2\n"
 
 
+@pytest.mark.parametrize("d_m", ["101", "100000"])
+def test_iswap_rejects_fock_cutoff_above_cap(capsys, data_dir, d_m):
+    code, err = run_one_line_error(
+        capsys, "iswap", "--config", str(data_dir / "reference_config.json"), "--d-m", d_m,
+    )
+    assert code == 2
+    assert err == f"error: --d-m must be at most 100, got {d_m}\n"
+
+
+def test_iswap_runs_at_fock_cutoff_cap(capsys, data_dir):
+    payload = run_json(capsys, "iswap", "--config", str(data_dir / "reference_config.json"),
+                       "--d-m", "100")
+    assert payload["populations"]["g1"] > 0.9
+
+
 def test_iswap_zero_duration_identity(capsys, tmp_path, data_dir):
     config = json.loads((data_dir / "reference_config.json").read_text())
     config["drive"]["n_s"] = 0.0

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -473,6 +475,97 @@ def full_space_records(rho0, h, jumps, times):
                      for t in times])
 
 
+def kron_lowering(dims, which):
+    """Lowering operator of mode ``which`` as the Kronecker product of
+    identities with diag(sqrt(1, ..., d - 1), 1) at that mode."""
+    factors = [np.eye(d) for d in dims]
+    factors[which] = np.diag(np.sqrt(np.arange(1, dims[which])), 1)
+    return functools.reduce(np.kron, factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple))
+def test_lowering_matches_kron_reference(dims):
+    for which in range(len(dims)):
+        got, expected = dynamics._lowering(dims, which), kron_lowering(dims, which)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def lindblad_terms(h_hz, jumps):
+    """The pairs (X, Y) of the Lindbladian's terms X rho Y^T."""
+    k = -1j * dynamics.TWO_PI * h_hz - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in jumps)
+    eye = np.eye(len(h_hz))
+    return [(k, eye), (eye, k.conj())] + [(rate * op, op.conj()) for rate, op in jumps]
+
+
+def dense_fixed_point_restrict(rho0, h_hz, jumps):
+    """``_restrict`` with every term's two pattern products taken densely,
+    identity factors included, at each pass of the closure."""
+    terms = lindblad_terms(h_hz, jumps)
+    pats = [((x != 0).astype(float), (y != 0).T.astype(float)) for x, y in terms]
+    reach = (rho0 != 0) | (rho0.T != 0)
+    while not np.array_equal(grown := reach | (sum(x @ reach @ y for x, y in pats) > 0), reach):
+        reach = grown
+    a, b = np.nonzero(reach)
+    liouvillian = sum(x[a][:, a] * y[b][:, b] for x, y in terms)
+    w = np.where(a < b, 1.0, np.where(a > b, 1j, 0.5))
+    la = liouvillian * w + liouvillian[:, np.lexsort((a, b))] * w.conj()
+    return a, b, np.where((a <= b)[:, None], la.real, la.imag)
+
+
+def reached_by_search(rho0, h_hz, jumps):
+    """Entries (i, j) reached from the support of rho0 and its transpose,
+    by breadth-first search: a term X rho Y^T takes (p, q) to every (i, j)
+    with X[i, p] != 0 and Y[j, q] != 0."""
+    terms = lindblad_terms(h_hz, jumps)
+    support = [(int(i), int(j)) for i, j in zip(*np.nonzero(rho0))]
+    seen = set(support) | {(j, i) for i, j in support}
+    queue = deque(seen)
+    while queue:
+        p, q = queue.popleft()
+        for x, y in terms:
+            for i in np.flatnonzero(x[:, p]).tolist():
+                for j in np.flatnonzero(y[:, q]).tolist():
+                    if (i, j) not in seen:
+                        seen.add((i, j))
+                        queue.append((i, j))
+    return sorted(seen)
+
+
+def sparse_entries(size):
+    return st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=2 * size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 8), data=st.data())
+def test_closure_matches_breadth_first_search(size, data):
+    # sparse Hermitian H, 0-4 jump operators and a Hermitian rho0 on drawn
+    # supports; nonzero values from a drawn seed
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def values(entries):
+        out = np.zeros((size, size), dtype=complex)
+        for i, j in entries:
+            out[i, j] = rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.random())
+        return out
+
+    def hermitian(entries):
+        out = values(entries)
+        diagonal = np.diag(np.diag(out))
+        return out - diagonal + (out - diagonal).conj().T + np.abs(diagonal)
+
+    h = 1e5 * hermitian(data.draw(sparse_entries(size)))
+    rho0 = hermitian(data.draw(sparse_entries(size)))
+    n_jumps = data.draw(st.integers(0, 4))
+    rates = data.draw(st.lists(st.floats(1e-3, 1e5), min_size=n_jumps, max_size=n_jumps))
+    jumps = [(rate, values(data.draw(sparse_entries(size)))) for rate in rates]
+    a, b, generator = dynamics._restrict(rho0, h, jumps)
+    assert list(zip(a.tolist(), b.tolist())) == reached_by_search(rho0, h, jumps)
+    expected = dense_fixed_point_restrict(rho0, h, jumps)
+    assert np.array_equal(a, expected[0]) and np.array_equal(b, expected[1])
+    assert generator.dtype == expected[2].dtype and np.array_equal(generator, expected[2])
+
+
 def mixture(dims, *weighted):
     """Density matrix sum_k w_k |psi_k><psi_k| / sum_k w_k from
     {level: amplitude} dicts."""
@@ -506,8 +599,8 @@ def test_subspace_restriction_matches_full_space(d_m, weighted):
     decay, dephase = [3e4, 1e4], [2e4, 5e3]
     duration = 1.25 / (4.0 * eff.g_eff)
     result = evolve(rho0, h, decay, duration, dephasing_rates=dephase, n_records=7)
-    q = dynamics._embed(dynamics._destroy(2), dims, 0)
-    m = dynamics._embed(dynamics._destroy(d_m), dims, 1)
+    q = kron_lowering(dims, 0)
+    m = kron_lowering(dims, 1)
     jumps = [(decay[0], q), (decay[1], m),
              (2.0 * dephase[0], q.T @ q), (2.0 * dephase[1], m.T @ m)]
     expected = full_space_records(rho0.matrix, h, jumps, result.times)
@@ -587,8 +680,8 @@ def test_iswap_matches_full_space_reference(d_m, dissipation, n_records, rates, 
                    n_records=n_records)
     h = build_rwa_hamiltonian(replace(effective_coupling(system, paper_drive()),
                                       drive_phase=math.pi), dims)
-    q = dynamics._embed(dynamics._destroy(2), dims, 0)
-    m = dynamics._embed(dynamics._destroy(d_m), dims, 1)
+    q = kron_lowering(dims, 0)
+    m = kron_lowering(dims, 1)
     jumps = [(gamma_q, q), (gamma_m, m), (2.0 * dephasing_q, q.T @ q),
              (2.0 * dephasing_m, m.T @ m)] if dissipation else []
     states = full_space_records(rho0.matrix, h, jumps, list(result.times) + [result.gate_time])
