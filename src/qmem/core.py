@@ -81,26 +81,33 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
 
 
 def fit_least_squares(name: str, residuals, theta0, *, jac, **options):
-    """Run ``scipy.optimize.least_squares`` with an exact Jacobian ``jac``.
+    """Run ``scipy.optimize.least_squares`` with MINPACK's Levenberg-Marquardt
+    method (``method="lm"``) and an exact Jacobian ``jac``.
 
-    ``options`` (method, bounds, tolerances, ``x_scale``) pass through.
-    Returns the solver result, the 1-sigma parameter uncertainties and the
-    singular values of J at the solution, all from one SVD of J: the
-    covariance is V S^-2 V^T times the residual variance 2*cost/dof, so a
-    zero singular value leaves its parameters a non-finite sigma.  Raises
-    ``FitDidNotConverge`` naming the fit when the solver fails.
+    ``options`` (tolerances, ``x_scale``, ``max_nfev``) pass through.
+    Returns the solver result and :func:`parameter_uncertainties` at the
+    solution.  Raises ``FitDidNotConverge`` naming the fit when the solver
+    fails.
     """
     from scipy.optimize import least_squares
 
-    result = least_squares(residuals, theta0, jac=jac, **options)
+    result = least_squares(residuals, theta0, jac=jac, method="lm", **options)
     if not result.success:
         raise FitDidNotConverge(f"{name} fit failed: {result.message}")
-    _, singular_values, vt = np.linalg.svd(result.jac, full_matrices=False)
-    dof = max(result.fun.size - result.x.size, 1)
-    variance = 2.0 * result.cost / dof
+    return (result, *parameter_uncertainties(result.jac, result.fun))
+
+
+def parameter_uncertainties(jac: np.ndarray, residuals: np.ndarray):
+    """1-sigma parameter uncertainties and the singular values of the
+    Jacobian ``jac`` at a least-squares solution, from one SVD: the
+    covariance is V S^-2 V^T times the residual variance |r|^2/dof, so a
+    zero singular value leaves its parameters a non-finite sigma."""
+    _, singular_values, vt = np.linalg.svd(jac, full_matrices=False)
+    dof = max(residuals.size - jac.shape[1], 1)
+    variance = residuals @ residuals / dof
     with np.errstate(all="ignore"):  # a tiny singular value overflows to inf
         sigma = np.sqrt(variance * np.sum((vt / singular_values[:, None]) ** 2, axis=0))
-    return result, sigma, singular_values
+    return sigma, singular_values
 
 
 def read_csv_table(path, headers) -> tuple[tuple[str, ...], np.ndarray]:

@@ -35,9 +35,13 @@ class DuffingParams:
     drive: float
 
     def __post_init__(self):
+        # as floats: the square of a large int such as 2**62 stays an exact
+        # int, which numpy cannot test for finiteness
         for name in ("f0", "Q", "beta", "drive"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.f0 <= 0.0 or self.Q <= 0.0:
             raise ValueError("f0 and Q must be positive")
         if self.drive < 0.0:
@@ -308,7 +312,7 @@ def fit_backbone(points) -> BackboneFit:
 
     result, _, _ = fit_least_squares(
         "backbone", residuals, [f0_init, a_init, math.log(n_init)], jac=jacobian,
-        method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        ftol=1e-15, xtol=1e-15, gtol=1e-15,
     )
     f0, coeff, log_n = result.x
     return BackboneFit(

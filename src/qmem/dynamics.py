@@ -350,7 +350,9 @@ class DensityMatrix:
 
     @property
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr rho^2, taken as the sum of |rho_ij|^2, which equals it for a
+        Hermitian rho without a d x d matrix product."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,8 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
         # start at Q ~ 1e6, tiny next to the motional reactance scale
         theta0.append(math.log(1e-6 * guess.Lm * angular(guess.series_resonance_hz)))
     result, _, _ = fit_least_squares(
-        "BVD", residuals, theta0, jac=jacobian, method="lm",
-        ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=5000,
+        "BVD", residuals, theta0, jac=jacobian, ftol=1e-14, xtol=1e-14, gtol=1e-14,
+        max_nfev=5000,
     )
     return unpack(result.x)
 

@@ -57,6 +57,12 @@ class ModulationTooDeep(ComputationError, ValueError):
     so callers that catch ValueError for out-of-range input still do."""
 
 
+class TemplateOutOfRange(QmemError, ValueError):
+    """Loss-stack template whose initial model is not finite at the data's
+    temperatures, so the fit has no starting point.  Also a ValueError: the
+    template is an input."""
+
+
 class DegenerateModes(QmemError):
     """Mode detunings too small for the perturbative dressing to apply."""
 

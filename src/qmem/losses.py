@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import angular, fit_least_squares, read_csv_table
-from .errors import DegenerateJacobian
+from .core import angular, fit_least_squares, parameter_uncertainties, read_csv_table
+from .errors import DegenerateJacobian, TemplateOutOfRange
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,10 @@ class QvsTDataset:
                 writer.writerow([repr(float(t)), repr(float(q)), repr(float(s))])
 
 
-# Internal parameter packing for the stack fit: positive scale parameters
-# are optimized in log space, activation_temp and exponent stay linear
-# with a lower bound at zero.
+# Internal parameter packing for the stack fit.  Each positive scale
+# parameter is fitted as theta = ln(value / template value), so every fit
+# starts from theta = 0 and rescaling Q poses the same arithmetic problem;
+# activation_temp and exponent stay linear and bounded below by zero.
 _LOG_PARAMS = {
     ZenerChannel: ("delta", "tau0"),
     PowerLawChannel: ("coefficient",),
@@ -202,17 +203,17 @@ _LINEAR_PARAMS = {
 
 
 def _pack(stack: LossStack):
-    names, theta, lower = [], [], []
+    """Parameter names, the template's packed values and the mask of the
+    parameters bounded below by zero."""
+    names, theta = [], []
     for idx, ch in enumerate(stack.channels):
         for attr in _LOG_PARAMS[type(ch)]:
             names.append((idx, attr, "log"))
-            theta.append(math.log(getattr(ch, attr)))
-            lower.append(-np.inf)
+            theta.append(0.0)
         for attr in _LINEAR_PARAMS[type(ch)]:
             names.append((idx, attr, "lin"))
             theta.append(getattr(ch, attr))
-            lower.append(0.0)
-    return names, np.array(theta), np.array(lower)
+    return names, np.array(theta), np.array([kind == "lin" for _, _, kind in names])
 
 
 def _unpack(stack: LossStack, names, theta) -> LossStack:
@@ -220,7 +221,10 @@ def _unpack(stack: LossStack, names, theta) -> LossStack:
     per channel, since every channel field is a fitted parameter."""
     fields: list[dict] = [{} for _ in stack.channels]
     for (idx, attr, kind), value in zip(names, theta):
-        fields[idx][attr] = math.exp(value) if kind == "log" else float(value)
+        if kind == "log":
+            fields[idx][attr] = getattr(stack.channels[idx], attr) * math.exp(value)
+        else:
+            fields[idx][attr] = float(value)
     return LossStack(tuple(type(ch)(**kw) for ch, kw in zip(stack.channels, fields)))
 
 
@@ -248,16 +252,22 @@ class LossStackFit:
     residual_norm: float
 
 
+# A trial step past the float range gives non-finite residuals, which lm
+# rejects, so numpy's warnings about it would only reach the user as noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossStackFit:
     """Weighted nonlinear least squares of a channel stack on Q(T) data.
 
     Residuals are taken on log Q^-1 (weights sigma_Q/Q) so channels that
     differ by orders of magnitude across the temperature span contribute
     evenly.  The template's parameter values serve as the deterministic
-    initial guess.  Raises ``FitDidNotConverge`` or, for unidentifiable
-    templates, ``DegenerateJacobian``.
+    initial guess.  activation_temp and exponent are bounded below by zero:
+    where the data want a negative value the fit holds it at 0.  Raises
+    ``TemplateOutOfRange`` when the template's model is not finite,
+    ``FitDidNotConverge`` or, for unidentifiable templates,
+    ``DegenerateJacobian``.
     """
-    names, theta0, lower = _pack(template)
+    names, theta0, bounded = _pack(template)
     n_params = len(names)
     if len(data) < 2 * n_params:
         raise ValueError(
@@ -268,12 +278,13 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
     sigma_log = data.sigma_q / data.q_values
 
     def residuals(theta):
+        if np.any(theta[bounded] < 0.0):
+            return np.full(len(data), np.inf)
         try:
             stack = _unpack(template, names, theta)
         except (OverflowError, ValueError):
             # a trial step took a log parameter past exp's range: exp
-            # overflows, or underflows to 0, which no channel accepts.
-            # Non-finite residuals make trf reject the step.
+            # overflows, or underflows to 0, which no channel accepts
             return np.full(len(data), np.inf)
         model = total_q_inverse(stack, f_hz, data.temperatures)
         return (np.log(model) - log_qinv_data) / sigma_log
@@ -285,20 +296,54 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
         columns = [grads[idx][1][attr] for idx, attr, _ in names]
         return np.column_stack(columns) / (model * sigma_log)[:, None]
 
+    if not np.isfinite(residuals(theta0)).all():
+        culprits = [
+            f"channel {idx} ({ch})" for idx, ch in enumerate(template.channels)
+            if not np.isfinite(ch.q_inverse(f_hz, data.temperatures)).all()
+            or any(getattr(ch, attr) < 0.0 for attr in _LINEAR_PARAMS[type(ch)])
+        ]
+        raise TemplateOutOfRange(
+            "loss-stack template has no finite initial model at the data's temperatures: "
+            + (", ".join(culprits) or "the summed Q^-1 is 0 or overflows")
+        )
+
+    options = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac")
     result, sigma_theta, sv = fit_least_squares(
-        "loss-stack", residuals, theta0, jac=jacobian, bounds=(lower, np.inf),
-        method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
+        "loss-stack", residuals, theta0, jac=jacobian, **options
     )
+    theta, fun = result.x, result.fun
+    # lm rejects each step below zero, so where the data want a negative
+    # activation_temp or exponent it stalls short of the bound: hold each
+    # parameter whose Gauss-Newton step crosses zero at 0, and refit the rest
+    held = bounded & (theta + np.linalg.lstsq(result.jac, -fun)[0] < 0.0)
+    if held.any():
+        free = ~held
+
+        def expand(phi):
+            full = np.zeros(n_params)  # the held parameters at 0
+            full[free] = phi
+            return full
+
+        def held_residuals(phi):
+            return residuals(expand(phi))
+
+        def held_jacobian(phi):
+            return jacobian(expand(phi))[:, free]
+
+        refit, _, _ = fit_least_squares(
+            "loss-stack", held_residuals, theta[free], jac=held_jacobian, **options
+        )
+        theta, fun = expand(refit.x), refit.fun
+        sigma_theta, sv = parameter_uncertainties(jacobian(theta), fun)
     if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-10:
         raise DegenerateJacobian("loss-stack template parameters are not identifiable")
 
-    fitted = _unpack(template, names, result.x)
+    fitted = _unpack(template, names, theta)
     uncertainties: list[dict] = [dict() for _ in template.channels]
-    for (idx, attr, kind), s, value in zip(names, sigma_theta, result.x):
-        sigma = s * math.exp(value) if kind == "log" else s
-        uncertainties[idx][attr] = sigma
+    for (idx, attr, kind), s in zip(names, sigma_theta):
+        uncertainties[idx][attr] = s * getattr(fitted.channels[idx], attr) if kind == "log" else s
     return LossStackFit(
         stack=fitted,
         uncertainties=tuple(uncertainties),
-        residual_norm=math.sqrt(2.0 * result.cost),
+        residual_norm=math.sqrt(fun @ fun),
     )

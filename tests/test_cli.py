@@ -564,6 +564,38 @@ def test_qvt_trial_step_past_exp_range_is_rejected(capsys, tmp_path, data_dir):
     assert code == 1 and "not identifiable" in err
 
 
+def test_qvt_non_finite_template_names_the_channel(capsys, tmp_path, data_dir):
+    # a power-law coefficient of 1e300 overflows Q^-1 at the data's
+    # temperatures; numpy's overflow warnings raise here and must not occur
+    config = json.loads((data_dir / "reference_config.json").read_text())
+    config["loss_stack"][1]["coefficient"] = 1e300
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    temps = np.geomspace(4.0, 300.0, 40)
+    path = tmp_path / "qvt.csv"
+    path.write_text("T_K,Q,sigma_Q\n" + "".join(
+        f"{t!r},{1e6 / (1.0 + t / 100.0)!r},1e4\n" for t in temps.tolist()
+    ))
+    code, err = run_one_line_error(
+        capsys, "qvt", str(path), "--config", str(config_path), "--frequency-hz", "97.2e6",
+    )
+    assert code == 2 and "no finite initial model" in err and "channel 1 (PowerLawChannel" in err
+
+
+def test_duffing_sweep_takes_a_large_integer_drive(capsys, tmp_path, data_dir):
+    # a JSON integer stays a Python int; squared exactly, numpy could not
+    # test it for finiteness
+    path = _config_with(tmp_path, data_dir, "duffing", drive_m_Hz2=2**62)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "duffing-sweep", "--config", path, "--points", "201")
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert code in (1, 2) and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_modulation_too_deep_exits_one(capsys, tmp_path, data_dir):
     # a 1 um standing wave modulates the probe phase far past M = 1
     config = json.loads((data_dir / "reference_config.json").read_text())

@@ -232,6 +232,17 @@ def test_evolve_closed_system_conserves_trace_and_purity():
     assert abs(rho.purity - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5), (2, 24), (2, 3, 4)])
+@pytest.mark.parametrize("rank", [1, 2, 5])
+def test_purity_matches_trace_of_square(dims, rank):
+    rng = np.random.default_rng(rank * 100 + sum(dims))
+    size = math.prod(dims)
+    g = rng.standard_normal((size, rank)) + 1j * rng.standard_normal((size, rank))
+    rho = DensityMatrix(dims, g @ g.conj().T / np.linalg.norm(g) ** 2)
+    reference = np.trace(rho.matrix @ rho.matrix).real
+    assert rho.purity == pytest.approx(reference, rel=0.0, abs=1e-14)
+
+
 def test_evolve_step_too_large():
     rho0 = DensityMatrix.basis((2, 2), (1, 0))
     h = np.diag([0.0, 0.0, 1e6, 1e6]).astype(complex)

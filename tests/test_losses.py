@@ -243,6 +243,55 @@ def test_fit_amplitude_rescaling_covariance(s):
     assert scaled.residual_norm == pytest.approx(fit.residual_norm, rel=1e-9)
 
 
+# the bounded trf fit's residual norms on these probes, before the fit
+# moved to lm with the hold-at-bound refit
+@pytest.mark.parametrize("exponent, bounded_trf_residual", [
+    (-0.3, 449.4217353756711), (-0.05, 90.41584259647325), (-1e-3, 1.9071313553296192),
+])
+def test_fit_holds_exponent_at_zero_when_data_want_it_negative(exponent, bounded_trf_residual):
+    f = 1e8
+    truth = LossStack((PowerLawChannel(1e-6, exponent), peaked_zener(f, 40.0, delta=4e-5)))
+    data = make_dataset(truth, f, np.geomspace(4.0, 300.0, 40))
+    template = LossStack((PowerLawChannel(3e-7, 0.5), peaked_zener(f, 36.0, delta=2e-5)))
+    fit = fit_loss_stack(data, f, template)
+    assert fit.stack.channels[0].exponent == 0.0
+    # a power law with exponent 0 is a constant loss
+    held = fit_loss_stack(data, f, LossStack((ConstantChannel(1.0 / 3e-7), template.channels[1])))
+    assert fit.residual_norm == pytest.approx(held.residual_norm, rel=1e-9)
+    assert fit.residual_norm == pytest.approx(bounded_trf_residual, rel=1e-9)
+
+
+def test_fit_holds_activation_at_zero_when_data_want_it_negative(monkeypatch):
+    # Q^-1 of a Zener loss whose relaxation slows as T rises, T_a = -5 K,
+    # fitted from a template on the same side of the Debye peak; its
+    # mirror with T_a = +5 K lies on the far side, out of lm's reach
+    f = 1e8
+    power = PowerLawChannel(2e-10, 4.0)
+    temps = np.geomspace(4.0, 300.0, 40)
+    q_inv = 4e-5 / (2.0 * np.cosh(2.0 - 5.0 / temps)) + power.q_inverse(f, temps)
+    data = QvsTDataset(temps, 1.0 / q_inv, 1e-3 / q_inv)
+    zener = ZenerChannel(2e-5, math.exp(2.0) / angular(f), activation_temp=10.0)
+    template = LossStack((zener, PowerLawChannel(5e-10, 3.7)))
+    solves = []
+    fit_least_squares = losses.fit_least_squares
+
+    def recording(*args, **kwargs):
+        out = fit_least_squares(*args, **kwargs)
+        solves.append(out[0])
+        return out
+
+    monkeypatch.setattr(losses, "fit_least_squares", recording)
+    # at T_a = 0 the Zener loss is constant, so delta and tau0 trade off
+    with pytest.raises(DegenerateJacobian):
+        fit_loss_stack(data, f, template)
+    monkeypatch.undo()
+    first, refit = solves
+    # the refit leaves out activation_temp, which enters as exactly 0
+    assert refit.x.size == first.x.size - 1
+    held = fit_loss_stack(data, f, LossStack((ConstantChannel(1.0 / zener.q_inverse(f, 1.0)), power)))
+    assert math.sqrt(2.0 * refit.cost) == pytest.approx(held.residual_norm, rel=1e-9)
+
+
 def test_fit_requires_enough_points():
     f = 1e8
     template = LossStack((
@@ -281,10 +330,11 @@ def test_dataset_validation_and_csv(tmp_path):
 
 
 def _unpack_reference(stack, names, theta):
-    """Per-parameter ``dataclasses.replace`` rebuild of the fitted stack."""
+    """Per-parameter ``dataclasses.replace`` rebuild of the fitted stack:
+    each log parameter is the template's value times exp(theta)."""
     channels = list(stack.channels)
     for (idx, attr, kind), value in zip(names, theta):
-        v = math.exp(value) if kind == "log" else float(value)
+        v = getattr(stack.channels[idx], attr) * math.exp(value) if kind == "log" else float(value)
         channels[idx] = dataclasses.replace(channels[idx], **{attr: v})
     return LossStack(tuple(channels))
 
