@@ -23,7 +23,6 @@ config load neither.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -632,13 +631,8 @@ def _write_rows(path: str, rows: list, fmt: str) -> None:
             fh.write("\n")
         return
     # the rows come from a subcommand that has loaded numpy already
-    import numpy as np
-    numeric = (float, np.floating, np.integer)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) if isinstance(v, numeric) else v for v in row])
+    from .core import write_csv_table
+    write_csv_table(path, header, data)
 
 
 def _strict_json(value):

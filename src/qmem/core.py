@@ -143,6 +143,17 @@ def read_csv_table(path, headers) -> tuple[tuple[str, ...], np.ndarray]:
     return cols, np.array(rows)
 
 
+def write_csv_table(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, each number as the repr of
+    its float, which reads back exactly; other cells (labels) as they are."""
+    numeric = (float, np.floating, np.integer)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, numeric) else v for v in row])
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:

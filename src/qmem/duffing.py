@@ -112,6 +112,13 @@ def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.
             # tolerate the measure-zero ambiguity at the discriminant boundary
             real = (np.abs(r.imag) <= 1e-9 * np.abs(r)) & (r.real > 0.0)
             u = np.sort(np.where(real, r.real, np.nan), axis=1)  # NaN sorts last
+            # c3 > 0 > c0 leaves at least one positive root; where eigvals
+            # loses it (a weak drive, u << the other two roots), take it
+            # from the product of the roots, -c0/c3, over the two largest
+            lost = np.isnan(u[:, 0])
+            if lost.any():
+                big = np.take_along_axis(r[lost], np.argsort(np.abs(r[lost]), axis=1), axis=1)
+                u[lost, 0] = (companion[lost, 0, 2] / (big[:, 1] * big[:, 2])).real
         # d(F^2)/du: the derivative of the cubic
         slope = c1[:, None] + u * (2.0 * c2[:, None] + 3.0 * c3 * u)
     return np.sqrt(u), slope > 0.0

@@ -26,12 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import TWO_PI
-from .errors import (
-    DegenerateModes,
-    DriveOffDifferenceFrequency,
-    DriveOnResonance,
-    StepTooLarge,
-)
+from .errors import DegenerateModes, DriveOffDifferenceFrequency, DriveOnResonance
 
 
 @dataclass(frozen=True)
@@ -342,11 +337,9 @@ class DensityMatrix:
         return cls.from_state_vector(dims, psi)
 
     def population(self, levels) -> float:
-        """Occupation of a product level, marginalizing unspecified modes."""
-        diag = np.real(np.diag(self.matrix)).reshape(self.dims)
-        for axis in range(len(levels), len(self.dims)):
-            diag = diag.sum(axis=len(levels))
-        return float(diag[tuple(int(v) for v in levels)])
+        """Occupation of a product level, one level per mode."""
+        i = np.ravel_multi_index(tuple(int(v) for v in levels), self.dims)
+        return float(self.matrix[i, i].real)
 
     @property
     def purity(self) -> float:
@@ -448,7 +441,6 @@ def evolve(
     h_hz: np.ndarray,
     decay_rates,
     duration: float,
-    dt: float | None = None,
     *,
     dephasing_rates=None,
     n_records: int = 0,
@@ -463,8 +455,7 @@ def evolve(
     coordinates x of the m entries of rho that the evolution reaches
     from rho0, where G is a real m x m matrix (``_restrict``); every
     other entry stays zero.  H must be Hermitian within 1e-10 of its
-    norm, else ``ValueError``.  ``dt`` sets no step: it is only a
-    precondition, dt <= 0.01/max(|H|/h, Gamma), else ``StepTooLarge``.
+    norm, else ``ValueError``.
 
     ``snapshots`` holds exactly ``n_records`` states at
     linspace(0, duration, n_records); ``final`` is always the state at
@@ -485,17 +476,6 @@ def evolve(
     h_hz = np.asarray(h_hz, dtype=complex)
     if np.linalg.norm(h_hz - h_hz.conj().T) > 1e-10 * np.linalg.norm(h_hz):
         raise ValueError("Hamiltonian is not Hermitian within 1e-10 of its norm")
-    if dt is not None:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        scale = max(float(np.linalg.norm(h_hz, 2)), *decay, *dephase)
-        if scale == 0.0:
-            scale = 1.0 / duration if duration > 0.0 else 1.0
-        dt_max = 0.01 / scale
-        if dt > dt_max * (1.0 + 1e-12):
-            raise StepTooLarge(
-                f"dt = {dt:.3g} s exceeds 0.01/max(|H|/h, Gamma) = {dt_max:.3g} s"
-            )
 
     a, b, generator = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
     times, records, final = _propagate(a, b, generator, rho0.matrix, duration, n_records)

@@ -11,14 +11,13 @@ motional capacitance grows with the number of defect cells.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyTrace, angular, fit_least_squares, read_csv_table
+from .core import TWO_PI, FrequencyTrace, angular, fit_least_squares, read_csv_table, write_csv_table
 from .errors import ResonanceNotInWindow
 
 
@@ -312,11 +311,8 @@ def scale_defects(params: BvdParams, spec: DefectArraySpec) -> BvdParams:
 
 def save_admittance_csv(path, trace: FrequencyTrace) -> None:
     """Write an admittance trace as CSV with header ``f_Hz,ReY_S,ImY_S``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f_Hz", "ReY_S", "ImY_S"])
-        for f, y in zip(trace.frequencies, trace.response):
-            writer.writerow([repr(float(f)), repr(float(y.real)), repr(float(y.imag))])
+    write_csv_table(path, ("f_Hz", "ReY_S", "ImY_S"),
+                    zip(trace.frequencies, trace.response.real, trace.response.imag))
 
 
 def load_admittance_csv(path) -> FrequencyTrace:

@@ -75,10 +75,6 @@ class DriveOffDifferenceFrequency(QmemError):
     """Drive does not match the qubit-mechanics difference frequency."""
 
 
-class StepTooLarge(QmemError):
-    """Integrator step violates the stability precondition."""
-
-
 class OutOfDefect(QmemError):
     """Position outside the defect cell where the standing wave is defined."""
 

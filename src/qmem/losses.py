@@ -16,13 +16,12 @@ parameters of a template stack to measured Q(T) data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import angular, fit_least_squares, parameter_uncertainties, read_csv_table
+from .core import angular, fit_least_squares, parameter_uncertainties, read_csv_table, write_csv_table
 from .errors import DegenerateJacobian, TemplateOutOfRange
 
 
@@ -179,11 +178,8 @@ class QvsTDataset:
         return cls(*table.T)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T_K", "Q", "sigma_Q"])
-            for t, q, s in zip(self.temperatures, self.q_values, self.sigma_q):
-                writer.writerow([repr(float(t)), repr(float(q)), repr(float(s))])
+        write_csv_table(path, ("T_K", "Q", "sigma_Q"),
+                        zip(self.temperatures, self.q_values, self.sigma_q))
 
 
 # Internal parameter packing for the stack fit.  Each positive scale

@@ -68,6 +68,10 @@ class PhotoelasticTensor:
         ])
 
 
+# the crystal of the plate, whose strain the readout models below detect
+_QUARTZ = PhotoelasticTensor.quartz_default()
+
+
 def _fresnel_front(n: float) -> float:
     return (n - 1.0) / (n + 1.0)
 
@@ -162,11 +166,7 @@ def index_perturbation(tensor: PhotoelasticTensor, strain_voigt) -> np.ndarray:
     return tensor.matrix @ s
 
 
-def principal_indices(
-    config: OpticalConfig,
-    s_yy: float,
-    tensor: PhotoelasticTensor | None = None,
-) -> tuple[float, float, float, float]:
+def principal_indices(config: OpticalConfig, s_yy: float) -> tuple[float, float, float, float]:
     """Principal refractive indices and Y-Z rotation angle for strain S_yy.
 
     Returns (n_x, n_y, n_z, theta).  The rotation angle that diagonalizes
@@ -177,7 +177,7 @@ def principal_indices(
     """
     if abs(s_yy) >= _MAX_STRAIN:
         raise ValueError("strain outside the small-strain validity bound")
-    p = tensor if tensor is not None else PhotoelasticTensor.quartz_default()
+    p = _QUARTZ
     n_o, n_e = config.n_o, config.n_e
     num = -2.0 * p.p41 * s_yy
     den = (1.0 / n_o**2 + p.p11 * s_yy) - (1.0 / n_e**2 + p.p31 * s_yy)
@@ -216,19 +216,14 @@ def strain_field(mode: StandingWaveMode, y: float, t: float) -> float:
     )
 
 
-def _polarization_coefficient(config: OpticalConfig, tensor: PhotoelasticTensor) -> float:
+def _polarization_coefficient(config: OpticalConfig) -> float:
     # p12 for X-polarized light, p11 for Y-polarized, cos^2/sin^2 weighted
     # in between (each linear component rides its own index modulation).
     c = math.cos(config.polarization_angle) ** 2
-    return tensor.p12 * c + tensor.p11 * (1.0 - c)
+    return _QUARTZ.p12 * c + _QUARTZ.p11 * (1.0 - c)
 
 
-def phase_modulation(
-    config: OpticalConfig,
-    mode: StandingWaveMode,
-    y: float,
-    tensor: PhotoelasticTensor | None = None,
-) -> tuple[float, float]:
+def phase_modulation(config: OpticalConfig, mode: StandingWaveMode, y: float) -> tuple[float, float]:
     """Static phase delta0 and modulation depth M of the two-face interference.
 
     delta0 = n_o*(2*pi/lambda)*2*T and
@@ -236,7 +231,6 @@ def phase_modulation(
     polarization-selected coefficient p.
     """
     _check_in_defect(mode, y)
-    p = tensor if tensor is not None else PhotoelasticTensor.quartz_default()
     k0 = 2.0 * math.pi / config.wavelength
     delta0 = config.n_o * k0 * 2.0 * config.plate_thickness
     envelope = math.cos(math.pi * y / mode.defect_width)
@@ -244,19 +238,14 @@ def phase_modulation(
         k0
         * config.plate_thickness
         * config.n_o**3
-        * _polarization_coefficient(config, p)
+        * _polarization_coefficient(config)
         * mode.strain_amplitude
         * envelope
     )
     return delta0, m
 
 
-def detected_power(
-    config: OpticalConfig,
-    mode: StandingWaveMode,
-    y: float,
-    tensor: PhotoelasticTensor | None = None,
-) -> ModulationResult:
+def detected_power(config: OpticalConfig, mode: StandingWaveMode, y: float) -> ModulationResult:
     """Interference observables of the reflected probe at position y.
 
     Valid in the small-modulation regime: raises ``ModulationTooDeep``
@@ -265,7 +254,7 @@ def detected_power(
     """
     from scipy.special import j0, j1
 
-    delta0, m = phase_modulation(config, mode, y, tensor)
+    delta0, m = phase_modulation(config, mode, y)
     if m >= 1.0:
         raise ModulationTooDeep(
             f"modulation depth M = {m:.3g} outside the validity bound M < 1"
@@ -291,32 +280,36 @@ def polarization_contrast(tensor: PhotoelasticTensor) -> float:
 
 
 def mode_profile_scan(
-    envelope,
-    config: OpticalConfig,
-    mode_template: StandingWaveMode,
-    tensor: PhotoelasticTensor | None = None,
+    envelope, config: OpticalConfig, mode_template: StandingWaveMode
 ) -> list[tuple[float, float]]:
     """Simulated optical scan across a mode envelope.
 
     ``envelope`` is a sequence of (position, normalized amplitude) pairs
     with 1 at the defect.  Each position is sampled at its local strain
-    antinode with the template's peak amplitude scaled by the envelope;
-    the output beat amplitudes are normalized to 1 at the defect.
+    antinode with the template's peak amplitude scaled by the envelope a,
+    so its modulation depth is M a, with M that of the template; the
+    beat amplitude 4 c1 c2 sin(delta0) J1(M a) normalized to 1 at the
+    defect is J1(M a)/J1(M).  The validity bound of ``detected_power`` is
+    checked once, at the largest a, the deepest modulation.
     """
+    from scipy.special import j1
+
     pairs = [(float(pos), float(amp)) for pos, amp in envelope]
     if not pairs:
         raise ValueError("envelope must be non-empty")
     amps = np.array([a for _, a in pairs])
     if np.all(amps == 0.0):
         return [(pos, 0.0) for pos, _ in pairs]
-    if not math.isclose(float(np.max(amps)), 1.0, rel_tol=1e-9, abs_tol=1e-9):
+    peak = float(np.max(amps))
+    if not math.isclose(peak, 1.0, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError("envelope must be normalized to 1 at the defect")
-
-    def beat(local_amp: float) -> float:
-        local = replace(mode_template, amplitude=mode_template.amplitude * local_amp)
-        return detected_power(config, local, 0.0, tensor).beat_amplitude
-
-    reference = beat(1.0)
-    if reference == 0.0:
+    if np.any(amps < 0.0):
+        raise ValueError("envelope amplitudes must be >= 0")
+    deepest = detected_power(
+        config, replace(mode_template, amplitude=mode_template.amplitude * peak), 0.0
+    )
+    if deepest.beat_amplitude == 0.0:
         return [(pos, 0.0) for pos, _ in pairs]
-    return [(pos, beat(amp) / reference) for pos, amp in pairs]
+    m = deepest.modulation_depth / peak
+    scan = j1(m * amps) / j1(m)
+    return [(pos, s) for (pos, _), s in zip(pairs, scan.tolist())]

@@ -294,8 +294,7 @@ def test_criterion_13_lindblad_integrity():
         dephase = rng.uniform(0.0, 1e5, size=2)
         scale = max(np.linalg.norm(h, 2), decay.max(), dephase.max())
         result = dynamics.evolve(rho0, h, decay, duration=2.0 / scale,
-                                 dt=0.005 / scale, dephasing_rates=dephase,
-                                 n_records=4)
+                                 dephasing_rates=dephase, n_records=4)
         for snapshot in result.snapshots:
             worst_herm = max(worst_herm, float(np.max(np.abs(snapshot - snapshot.conj().T))))
             worst_trace = max(worst_trace, abs(float(np.trace(snapshot).real) - 1.0))

@@ -482,7 +482,6 @@ def run_one_line_error(capsys, *argv):
     ("backbone", "Q", 1e300),
     ("backbone", "Q", 1e-300),
     ("duffing-sweep", "Q", 1e-300),  # the default window f0 (1 +- 100/Q)
-    ("duffing-sweep", "Q", 1e-30),  # a window point without a root: the sweep gave inf
     ("duffing-sweep", "Q", 1e300),  # G = F^2 |beta| Q^3/f0^6 of the bistable edges
 ])
 def test_duffing_overflow_is_a_one_line_error(capsys, tmp_path, data_dir, command, field, value):
@@ -491,6 +490,29 @@ def test_duffing_overflow_is_a_one_line_error(capsys, tmp_path, data_dir, comman
     argv = ["--drive-levels", "1e8,2e8,3e8,4e8"] if command == "backbone" else []
     code, err = run_one_line_error(capsys, command, "--config", path, *argv)
     assert code == 2 and "Duffing" in err and "overflows the float range" in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"drive_m_Hz2": 1e-2},
+    # at Q = 1e-30 the sweep used to give inf at the window's first point
+    {"drive_m_Hz2": 5e11, "Q": 1e-30},
+], ids=["drive-1e-2", "Q-1e-30"])
+def test_weak_duffing_response_sweeps_to_strict_json(capsys, tmp_path, data_dir, fields):
+    # far below the onset of bistability eigvals loses the cubic's one root
+    # at some points; the sweep keeps it and gives the linear response
+    path = _config_with(tmp_path, data_dir, "duffing", **fields)
+    out_csv = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "duffing-sweep", "--config", path, "--out", str(out_csv))
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    section = json.loads(pathlib.Path(path).read_text())["duffing"]
+    f0, q = section["f0_Hz"], section["Q"]
+    freqs, amps = np.loadtxt(out_csv, delimiter=",", skiprows=1, usecols=(0, 1)).T
+    linear = section["drive_m_Hz2"] / np.hypot(f0**2 - freqs**2, f0 * freqs / q)
+    np.testing.assert_allclose(amps, linear, rtol=1e-12, atol=0.0)
+    assert payload["peak_amplitude"] == amps.max()
 
 
 @pytest.mark.parametrize("command", ["couple", "iswap"])

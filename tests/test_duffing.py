@@ -574,16 +574,44 @@ def test_sweep_results_cannot_change_the_cached_window(solves):
     assert again.amplitudes.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("p", [stiff_params(3e11), stiff_params(2e11, beta=-2e21)])
+def test_non_finite_swept_amplitude_raises_before_caching(solves, monkeypatch, p):
+    # a window point without a state: the sweep used to return +-inf there
+    def with_empty_row(params, freqs):
+        states, stable = _steady_states(params, freqs)
+        states[freqs.size // 2] = np.nan
+        return states, stable
+
+    monkeypatch.setattr(duffing, "_steady_states", with_empty_row)
+    with pytest.raises(ValueError, match="swept amplitude overflows the float range"):
+        sweep(p, F0 * (1 - 30 / Q), F0 * (1 + 60 / Q), n_points=101)
+    assert duffing._window_states.cache_info().currsize == 0
+
+
+def _linear_response(p, freqs):
+    return p.drive / np.hypot(p.f0**2 - freqs**2, p.f0 * freqs / p.Q)
+
+
 @pytest.mark.parametrize("p", [
-    # past the first point of the CLI's default window f0/(1 + 100/Q) to
-    # f0 (1 + 100/Q), the cubic has no positive root
+    # the CLI's default window f0/(1 + 100/Q) to f0 (1 + 100/Q) at Q = 1e-30
     DuffingParams(f0=F0, Q=1e-30, beta=5e8, drive=5e11),
-    # 1e-14 of the onset: the one root, u ~ -c0/c1, is lost to roundoff
     DuffingParams(f0=F0, Q=Q, beta=2e21, drive=1e-14 * _onset(F0, Q, 2e21)),
 ])
-def test_non_finite_swept_amplitude_raises_before_caching(solves, p):
-    # the sweep used to return +-inf amplitudes here
+def test_weak_response_keeps_the_root_eigvals_loses(p):
+    # u ~ -c0/c1 is tiny next to the other two roots, so eigvals loses it to
+    # roundoff at some window points; the sweep there used to raise
     span = 100 / p.Q
-    with pytest.raises(ValueError, match="swept amplitude overflows the float range"):
-        sweep(p, F0 / (1 + span), F0 * (1 + span), n_points=101)
-    assert duffing._window_states.cache_info().currsize == 0
+    result = sweep(p, F0 / (1 + span), F0 * (1 + span), n_points=101)
+    expected = _linear_response(p, result.frequencies)
+    np.testing.assert_allclose(result.amplitudes, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=driven_params(factors=st.floats(-30.0, -6.0).map(lambda e: 10.0**e)))
+def test_weak_drive_sweeps_the_linear_response(p):
+    # from 1e-30 to 1e-6 of the onset the cubic term moves no amplitude by
+    # 1e-12, wherever eigvals keeps or loses the one root
+    width = 10.0 * p.f0 / p.Q
+    result = sweep(p, p.f0 - width, p.f0 + width, n_points=1001)
+    expected = _linear_response(p, result.frequencies)
+    np.testing.assert_allclose(result.amplitudes, expected, rtol=1e-12, atol=0.0)

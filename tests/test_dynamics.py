@@ -26,12 +26,7 @@ from qmem.dynamics import (
     hybridized_decay,
     iswap,
 )
-from qmem.errors import (
-    DegenerateModes,
-    DriveOffDifferenceFrequency,
-    DriveOnResonance,
-    StepTooLarge,
-)
+from qmem.errors import DegenerateModes, DriveOffDifferenceFrequency, DriveOnResonance
 
 F_Q, F_S, F_M = 5.0e9, 1.1397322202500575e9, 98.54842467642602e6
 G_SM = 121.87145005878624e3
@@ -216,7 +211,7 @@ def test_evolve_pure_decay():
     rho0 = DensityMatrix.basis((2, 2), (0, 1))
     h = np.zeros((4, 4))
     gamma = 1e4
-    result = evolve(rho0, h, [0.0, gamma], duration=1.0 / gamma, dt=None)
+    result = evolve(rho0, h, [0.0, gamma], duration=1.0 / gamma)
     p1 = result.final.population((0, 1))
     assert abs(p1 - math.exp(-1.0)) < 1e-6
 
@@ -226,7 +221,7 @@ def test_evolve_closed_system_conserves_trace_and_purity():
     h = build_rwa_hamiltonian(eff, (2, 3))
     rho0 = DensityMatrix.basis((2, 3), (1, 0))
     duration = 10.0 / (2.0 * eff.g_eff)  # ten exchange periods
-    result = evolve(rho0, h, [0.0, 0.0], duration, dt=None)
+    result = evolve(rho0, h, [0.0, 0.0], duration)
     rho = result.final
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-8
     assert abs(rho.purity - 1.0) < 1e-8
@@ -241,13 +236,6 @@ def test_purity_matches_trace_of_square(dims, rank):
     rho = DensityMatrix(dims, g @ g.conj().T / np.linalg.norm(g) ** 2)
     reference = np.trace(rho.matrix @ rho.matrix).real
     assert rho.purity == pytest.approx(reference, rel=0.0, abs=1e-14)
-
-
-def test_evolve_step_too_large():
-    rho0 = DensityMatrix.basis((2, 2), (1, 0))
-    h = np.diag([0.0, 0.0, 1e6, 1e6]).astype(complex)
-    with pytest.raises(StepTooLarge):
-        evolve(rho0, h, [0.0, 0.0], duration=1e-3, dt=1.0)
 
 
 def test_evolve_rejects_non_hermitian_hamiltonian():
@@ -266,7 +254,7 @@ def test_evolve_dephasing_rate_convention():
     rho0 = DensityMatrix.from_state_vector((2,), psi)
     gamma_phi = 1e4
     result = evolve(rho0, np.zeros((2, 2)), [0.0], duration=1.0 / gamma_phi,
-                    dt=None, dephasing_rates=[gamma_phi])
+                    dephasing_rates=[gamma_phi])
     coherence = abs(result.final.matrix[0, 1])
     assert coherence == pytest.approx(0.5 * math.exp(-1.0), rel=1e-6)
 
@@ -278,7 +266,7 @@ def test_population_exchange_frequency():
     periods = 8
     duration = periods / (2.0 * eff.g_eff)
     n_records = 1024
-    result = evolve(rho0, h, [0.0, 0.0], duration, dt=None, n_records=n_records)
+    result = evolve(rho0, h, [0.0, 0.0], duration, n_records=n_records)
     pop = np.array([
         np.real(s[1, 1]) for s in result.snapshots  # |g,1> index
     ])
@@ -366,7 +354,7 @@ def test_snail_stays_unpopulated_when_included():
     dims = (2, 3, 2)
     h = build_rwa_hamiltonian(eff, dims)
     rho0 = DensityMatrix.basis(dims, (1, 0, 0))
-    result = evolve(rho0, h, [0.0, 0.0, 0.0], 1.0 / (4 * eff.g_eff), dt=None)
+    result = evolve(rho0, h, [0.0, 0.0, 0.0], 1.0 / (4 * eff.g_eff))
     diag = np.real(np.diag(result.final.matrix)).reshape(dims)
     snail_population = diag.sum(axis=(0, 1))[1]
     lam_sm = dress(paper_system()).lambda_sm
@@ -437,7 +425,7 @@ def test_lindblad_integrity_randomized():
         dephase = rng.uniform(0.0, 1e5, size=2)
         scale = max(np.linalg.norm(h, 2), decay.max(), dephase.max())
         result = evolve(rho0, h, decay, duration=2.0 / scale,
-                        dt=0.005 / scale, dephasing_rates=dephase, n_records=5)
+                        dephasing_rates=dephase, n_records=5)
         for snapshot in result.snapshots:
             assert np.array_equal(snapshot, snapshot.conj().T)
             assert abs(np.trace(snapshot).real - 1.0) < 1e-9
@@ -706,6 +694,44 @@ def test_iswap_matches_full_space_reference(d_m, dissipation, n_records, rates, 
     expected = DensityMatrix(dims, states[-1])
     for key, levels in (("g0", (0, 0)), ("g1", (0, 1)), ("e0", (1, 0)), ("e1", (1, 1))):
         assert abs(result.populations[key] - expected.population(levels)) < 1e-10
+
+
+@pytest.mark.parametrize("dissipation", [False, True])
+def test_iswap_of_mixed_state_has_no_fidelity(dissipation):
+    # the fidelity compares against the unitary evolution of a pure rho0
+    system = TriModeSystem(
+        qubit=ModeParams(F_Q, decay_rate=1e4, anharmonicity=200e6, dephasing_rate=3e3),
+        snail=ModeParams(F_S, decay_rate=1e7),
+        mech=ModeParams(F_M, decay_rate=2e3, dephasing_rate=1e3),
+        g_qs=0.1 * (F_Q - F_S), g_sm=G_SM, g3=100e6,
+    )
+    dims = (2, 5)
+    rho0 = DensityMatrix(dims, 0.7 * DensityMatrix.basis(dims, (1, 0)).matrix
+                         + 0.3 * DensityMatrix.basis(dims, (0, 0)).matrix)
+    result = iswap(system, paper_drive(), rho0=rho0, dissipation=dissipation, n_records=11)
+    assert np.isnan(result.fidelity).all() and result.fidelity.shape == (11,)
+    assert math.isnan(result.swap_fidelity)
+    h = build_rwa_hamiltonian(replace(effective_coupling(system, paper_drive()),
+                                      drive_phase=math.pi), dims)
+    if dissipation:
+        decay = [1e4, hybridized_decay(2e3, dress(system).lambda_sm, 1e7)]
+        dephasing = [3e3, 1e3]
+    else:
+        decay = dephasing = [0.0, 0.0]
+    expected = evolve(rho0, h, decay, result.gate_time, dephasing_rates=dephasing).final
+    for key, levels in (("g0", (0, 0)), ("g1", (0, 1)), ("e0", (1, 0)), ("e1", (1, 1))):
+        assert abs(result.populations[key] - expected.population(levels)) < 1e-12
+    if not dissipation:
+        # the drive exchanges |e,0> and |g,1> and leaves |g,0> alone
+        assert result.populations["g0"] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_population_takes_a_level_for_every_mode():
+    rho = DensityMatrix.basis((2, 3, 4), (1, 2, 3))
+    assert rho.population((1, 2, 3)) == 1.0
+    assert rho.population((1, 2, 2)) == 0.0
+    with pytest.raises(ValueError):
+        rho.population((1, 2))
 
 
 @pytest.mark.parametrize("n_records", [0, 2, 37, 1001])

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,6 +291,59 @@ def test_mode_profile_scan_requires_normalized_envelope():
     config = OpticalConfig(plate_thickness=3.5e-6)
     with pytest.raises(ValueError):
         mode_profile_scan([(0, 0.5), (1, 0.2)], config, make_mode(0.1))
+
+
+@pytest.mark.parametrize("strong", [False, True])
+@pytest.mark.parametrize("n_mirror", [4, 10])
+@pytest.mark.parametrize("m_target", [1e-6, 0.3, 0.95])
+def test_mode_profile_scan_is_the_bessel_ratio(strong, n_mirror, m_target):
+    from scipy.special import j1
+
+    from qmem import phonon_chain
+
+    chain = (phonon_chain.strong_chain(n_mirror=n_mirror) if strong
+             else phonon_chain.reference_chain(n_mirror=n_mirror))
+    gap = phonon_chain.find_band_gaps(chain.mirror_cell, 50e6, 150e6, 0.1e6)[0]
+    envelope = phonon_chain.mode_profile(chain, phonon_chain.find_defect_mode(chain, gap))
+    config = OpticalConfig(plate_thickness=3.5e-6)
+    mode = make_mode(m_target)
+    m = phase_modulation(config, mode, 0.0)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scan = mode_profile_scan(envelope, config, mode)
+        # each cell through the detector model, at its local amplitude
+        beats = [detected_power(config, replace(mode, amplitude=mode.amplitude * a), 0.0)
+                 .beat_amplitude for _, a in envelope]
+    assert [pos for pos, _ in scan] == [pos for pos, _ in envelope]
+    signal = np.array([v for _, v in scan])
+    amps = np.array([a for _, a in envelope])
+    np.testing.assert_allclose(signal, j1(m * amps) / j1(m), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(signal, np.array(beats) / beats[int(np.argmax(amps))],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_mode_profile_scan_checks_the_deepest_modulation_once():
+    config = OpticalConfig(plate_thickness=3.5e-6)
+    envelope = [(-2, 0.6), (-1, 0.8), (0, 1.0), (1, 0.8), (2, 0.6)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mode_profile_scan(envelope, config, make_mode(0.95))
+    assert len(caught) == 1 and "M = 0.95 above 0.5" in str(caught[0].message)
+    with pytest.raises(ModulationTooDeep):
+        mode_profile_scan(envelope, config, make_mode(1.0 + 1e-9))
+
+
+def test_mode_profile_scan_rejects_negative_envelope():
+    config = OpticalConfig(plate_thickness=3.5e-6)
+    with pytest.raises(ValueError, match=">= 0"):
+        mode_profile_scan([(0, 1.0), (1, -0.2)], config, make_mode(0.1))
+
+
+def test_mode_profile_scan_without_beat_is_zero():
+    # no back-face reflection, no interference: the defect beat is 0
+    config = OpticalConfig(plate_thickness=3.5e-6, c2=0.0)
+    scan = mode_profile_scan([(0, 1.0), (1, 0.5)], config, make_mode(0.1))
+    assert scan == [(0.0, 0.0), (1.0, 0.0)]
 
 
 def test_default_reflection_amplitudes_are_fresnel():
