@@ -109,7 +109,7 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     theta0 = np.array([f0_init, math.log(q_init), height, 0.0, bg_init])
     result, sigma, _ = fit_least_squares(
         "Lorentzian", residuals, theta0, jac=jacobian,
-        ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac",
+        ftol=1e-15, xtol=1e-15, gtol=1e-15,
     )
 
     f0, log_q, re_a, im_a, bg = result.x

@@ -80,21 +80,40 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
     return 1.0 / ((n_th + 1.0) * gamma)
 
 
-def fit_least_squares(name: str, residuals, theta0, *, jac, **options):
-    """Run ``scipy.optimize.least_squares`` with MINPACK's Levenberg-Marquardt
-    method (``method="lm"``) and an exact Jacobian ``jac``.
+def fit_least_squares(name: str, residuals, theta0, *, jac, ftol=1e-8, xtol=1e-8, gtol=1e-8,
+                      max_nfev=None):
+    """Minimize |residuals(theta)|^2 from ``theta0`` with MINPACK's
+    Levenberg-Marquardt ``lmder`` (Moré 1978), called through
+    ``scipy.optimize.leastsq`` with the exact Jacobian ``jac``.
 
-    ``options`` (tolerances, ``x_scale``, ``max_nfev``) pass through.
-    Returns the solver result and :func:`parameter_uncertainties` at the
-    solution.  Raises ``FitDidNotConverge`` naming the fit when the solver
-    fails.
+    MINPACK scales each parameter by the norm of its Jacobian column
+    (``diag=None``), the ``x_scale="jac"`` of ``least_squares``, whose
+    default for ``lm`` was a unit scale before scipy 1.16; ``leastsq``
+    gives every fit the same scaling on every scipy.  At most ``max_nfev``
+    residual evaluations, 100 per parameter by default.
+
+    Returns the result (x, fun and ``jac(x)`` at the solution, cost
+    |fun|^2/2, MINPACK's status, nfev, njev) and
+    :func:`parameter_uncertainties` at the solution.  Raises ValueError
+    when the residuals at ``theta0`` are not finite, and
+    ``FitDidNotConverge`` naming the fit unless MINPACK reports
+    convergence (status 1-4).
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import OptimizeResult, leastsq
 
-    result = least_squares(residuals, theta0, jac=jac, method="lm", **options)
-    if not result.success:
-        raise FitDidNotConverge(f"{name} fit failed: {result.message}")
-    return (result, *parameter_uncertainties(result.jac, result.fun))
+    theta0 = np.asarray(theta0, dtype=float)
+    if not np.isfinite(residuals(theta0)).all():
+        raise ValueError(f"{name} fit: residuals are not finite at the initial point")
+    x, _, info, message, status = leastsq(
+        residuals, theta0, Dfun=jac, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
+        maxfev=max_nfev or 100 * theta0.size,
+    )
+    if status not in (1, 2, 3, 4):
+        raise FitDidNotConverge(f"{name} fit failed: {' '.join(message.split())}")
+    fun = info["fvec"]
+    result = OptimizeResult(x=x, fun=fun, jac=jac(x), cost=0.5 * np.dot(fun, fun),
+                            status=status, nfev=info["nfev"], njev=info["njev"])
+    return (result, *parameter_uncertainties(result.jac, fun))
 
 
 def parameter_uncertainties(jac: np.ndarray, residuals: np.ndarray):

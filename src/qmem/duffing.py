@@ -144,9 +144,15 @@ def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float):
     9/16 w^3 - 3/2 sgn(beta) s w^2 + (s^2 + s/Q + 1) w - G, and 4/9 of its
     discriminant is sgn(beta) G (3/4 s^3 + 27/4 s^2/Q + 27/4 s) - 243/64 G^2
     - (1 + s/Q)(s^2 + s/Q + 1)^2, a quintic (the s^6 terms cancel).  That
-    is positive left of its smallest real root, near s = -Q (f ~ 0), and
-    between the next two, the edges.  Near the critical drive these merge:
-    ``np.roots`` gives a complex pair (no range) once it cannot split them.
+    is positive left of its first real root and between each later pair.
+    Each such piece is clipped to s > -Q (f > 0) and to the window, and
+    kept only if the discriminant is positive at its midpoint: at extreme
+    Q, ``np.roots`` returns real roots that bound no three-root range.
+    Every real root of the cubic is positive (u < 0 makes
+    u[(d + 3/4 beta u)^2 + e^2] - F^2 negative), so three real roots are
+    three states.  Returns the first kept piece's lower edge and the last
+    one's upper edge.  Near the critical drive the edges merge: ``np.roots``
+    gives a complex pair (no range) once it cannot split them.
     """
     if p.beta == 0.0 or p.drive == 0.0:
         return None
@@ -157,11 +163,23 @@ def _bistable_range(p: DuffingParams, f_lo: float, f_hi: float):
                6.75 * g * q - 2.0 - 3.0 * q * q, 6.75 * g - 3.0 * q, -1.0 - 243.0 / 64.0 * g * g]
     _check_finite(p, "bistable-range discriminant", [c / quintic[0] for c in quintic])
     s = np.sort([r.real for r in np.roots(quintic) if r.imag == 0.0])
-    if s.size < 3:
-        return None
-    lo, hi = p.f0 * np.sqrt(np.maximum(1.0 + s[[1, -1]] * q, 0.0))
-    lo, hi = max(lo, f_lo), min(hi, f_hi)
-    return (float(lo), float(hi)) if lo <= hi else None
+    edges = p.f0 * np.sqrt(np.maximum(1.0 + np.concatenate([[-np.inf], s]) * q, 0.0))
+    kept = []
+    for lo, hi in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        lo, hi = max(lo, f_lo), min(hi, f_hi)
+        if lo > hi:
+            continue
+        r = 0.5 * (lo + hi) / p.f0
+        r2 = r * r  # 1 + s/Q at the midpoint
+        s_mid = (r2 - 1.0) * p.Q
+        # 4/9 of the discriminant, with s^2 + s/Q + 1 = s^2 + r2; a term past
+        # the float range is inf and sets the sign, and two give NaN, which
+        # keeps no piece
+        disc = (g * s_mid * (0.75 * s_mid * s_mid + 6.75 * r2) - 243.0 / 64.0 * g * g
+                - r2 * (s_mid * s_mid + r2) * (s_mid * s_mid + r2))
+        if disc > 0.0:
+            kept.append((lo, hi))
+    return (float(kept[0][0]), float(kept[-1][1])) if kept else None
 
 
 def _follow_branch(lower: np.ndarray, upper: np.ndarray, start_upper: bool) -> np.ndarray:

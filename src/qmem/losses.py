@@ -72,7 +72,7 @@ class ConstantChannel:
             raise ValueError("q_value must be positive")
 
     def q_inverse(self, f_hz: float, temperature_k: float) -> float:
-        return 1.0 / self.q_value
+        return _constant(f_hz, temperature_k, self.q_value)
 
 
 Channel = ZenerChannel | PowerLawChannel | ConstantChannel
@@ -91,6 +91,61 @@ class LossStack:
         object.__setattr__(self, "channels", channels)
 
 
+def _temperatures(temperature_k) -> np.ndarray:
+    """``temperature_k`` as an array, checked to be >= 0."""
+    t = np.asarray(temperature_k, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("temperature must be >= 0")
+    return t
+
+
+# Array kernels of the channels' Q^-1 on raw parameter values, in each
+# channel's field order, and their derivatives by the packed parameters
+# of the stack fit (log space for the scale parameters, linear for
+# activation_temp and exponent).  The public functions validate and call
+# the kernels; the stack fit calls them directly.
+def _zener_log_wt(f_hz, t, tau0, activation_temp):
+    """x = ln(omega*tau) with tau = tau0*exp(T_a/T): inf at T = 0 for T_a > 0."""
+    log_wt0 = math.log(angular(f_hz) * tau0)
+    if activation_temp > 0.0:
+        with np.errstate(divide="ignore"):
+            return log_wt0 + activation_temp / t
+    return np.full(t.shape, log_wt0)
+
+
+def _zener(f_hz, t, delta, tau0, activation_temp):
+    ax = np.abs(_zener_log_wt(f_hz, t, tau0, activation_temp))
+    return np.where(
+        ax > 300.0,
+        delta * np.exp(-ax),
+        # clipped, because np.where evaluates both branches
+        delta / (2.0 * np.cosh(np.minimum(ax, 300.0))),
+    )
+
+
+def _zener_gradient(f_hz, t, q_inv, delta, tau0, activation_temp):
+    # Q^-1 = delta/(2 cosh x): d/dx = -Q^-1 tanh x, and x is linear in
+    # ln tau0 and in T_a/T
+    dq_dx = -q_inv * np.tanh(_zener_log_wt(f_hz, t, tau0, activation_temp))
+    return q_inv, dq_dx, dq_dx / t
+
+
+def _power_law(f_hz, t, coefficient, exponent):
+    return np.where(t > 0.0, coefficient * t**exponent, 0.0)
+
+
+def _power_law_gradient(f_hz, t, q_inv, coefficient, exponent):
+    return q_inv, q_inv * np.log(t)
+
+
+def _constant(f_hz, t, q_value):
+    return 1.0 / q_value
+
+
+def _constant_gradient(f_hz, t, q_inv, q_value):
+    return (np.full(t.shape, -q_inv),)
+
+
 def zener_q_inverse(
     channel: ZenerChannel, f_hz: float, temperature_k: float | np.ndarray
 ) -> float | np.ndarray:
@@ -100,22 +155,8 @@ def zener_q_inverse(
     on both sides of the Debye peak and cannot overflow.  ``temperature_k``
     is a float or an array of temperatures; the result has the same form.
     """
-    t = np.asarray(temperature_k, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("temperature must be >= 0")
-    log_wt0 = math.log(angular(f_hz) * channel.tau0)
-    if channel.activation_temp > 0.0:
-        with np.errstate(divide="ignore"):
-            x = log_wt0 + channel.activation_temp / t  # T = 0: tau diverges, x = inf
-    else:
-        x = np.full(t.shape, log_wt0)
-    ax = np.abs(x)
-    q_inv = np.where(
-        ax > 300.0,
-        channel.delta * np.exp(-ax),
-        # clipped, because np.where evaluates both branches
-        channel.delta / (2.0 * np.cosh(np.minimum(ax, 300.0))),
-    )
+    t = _temperatures(temperature_k)
+    q_inv = _zener(f_hz, t, channel.delta, channel.tau0, channel.activation_temp)
     return q_inv if t.ndim else float(q_inv)
 
 
@@ -124,10 +165,8 @@ def landau_rumer_q_inverse(
 ) -> float | np.ndarray:
     """Power-law loss B*T**n; zero at T = 0.  ``temperature_k`` is a float
     or an array of temperatures; the result has the same form."""
-    t = np.asarray(temperature_k, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("temperature must be >= 0")
-    q_inv = np.where(t > 0.0, channel.coefficient * t**channel.exponent, 0.0)
+    t = _temperatures(temperature_k)
+    q_inv = _power_law(None, t, channel.coefficient, channel.exponent)
     return q_inv if t.ndim else float(q_inv)
 
 
@@ -224,19 +263,62 @@ def _unpack(stack: LossStack, names, theta) -> LossStack:
     return LossStack(tuple(type(ch)(**kw) for ch, kw in zip(stack.channels, fields)))
 
 
-def _channel_gradient(channel: Channel, f_hz: float, temperatures: np.ndarray):
-    """A channel's Q^-1 over ``temperatures`` and its derivatives by the
-    packed parameters: log space for the scale parameters, linear for
-    activation_temp and exponent."""
-    q_inv = np.broadcast_to(channel.q_inverse(f_hz, temperatures), temperatures.shape)
-    if isinstance(channel, ZenerChannel):
-        # Q^-1 = delta/(2 cosh x) with x = ln(omega*tau0) + T_a/T
-        x = math.log(angular(f_hz) * channel.tau0) + channel.activation_temp / temperatures
-        dq_dx = -q_inv * np.tanh(x)
-        return q_inv, {"delta": q_inv, "tau0": dq_dx, "activation_temp": dq_dx / temperatures}
-    if isinstance(channel, PowerLawChannel):
-        return q_inv, {"coefficient": q_inv, "exponent": q_inv * np.log(temperatures)}
-    return q_inv, {"q_value": -q_inv}
+_KERNELS = {
+    ZenerChannel: (_zener, _zener_gradient),
+    PowerLawChannel: (_power_law, _power_law_gradient),
+    ConstantChannel: (_constant, _constant_gradient),
+}
+
+
+def _stack_plan(template: LossStack, names, f_hz: float, temperatures: np.ndarray):
+    """Q^-1 of the template's stack at packed parameters theta, evaluated
+    by the channel kernels on raw values: no channel or stack is built.
+
+    Returns ``q_inverse(theta)``, which is None where ``_unpack`` would
+    fail (a negative bounded parameter, or a log parameter whose exp
+    overflows or underflows to 0), and ``gradient(theta)``, the summed
+    Q^-1 and its derivative by each packed parameter.  Each channel's
+    packed parameters are its fields in order, so they slice theta.
+    """
+    scales = [getattr(template.channels[idx], attr) if kind == "log" else None
+              for idx, attr, kind in names]
+    channels, start = [], 0
+    for ch in template.channels:
+        stop = start + len(_LOG_PARAMS[type(ch)]) + len(_LINEAR_PARAMS[type(ch)])
+        channels.append((*_KERNELS[type(ch)], start, stop))
+        start = stop
+
+    def values(theta):
+        raw = []
+        for value, scale in zip(theta.tolist(), scales):
+            if scale is not None:
+                try:
+                    value = scale * math.exp(value)
+                except OverflowError:
+                    return None
+                if value <= 0.0:
+                    return None
+            elif value < 0.0:
+                return None
+            raw.append(value)
+        return raw
+
+    def q_inverse(theta):
+        raw = values(theta)
+        if raw is None:
+            return None
+        return sum(kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels)
+
+    def gradient(theta):
+        raw = values(theta)
+        parts = [kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels]
+        columns = [
+            column for (_, grad, i, j), q_inv in zip(channels, parts)
+            for column in grad(f_hz, temperatures, q_inv, *raw[i:j])
+        ]
+        return sum(parts), columns
+
+    return q_inverse, gradient
 
 
 @dataclass(frozen=True)
@@ -273,23 +355,16 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
     log_qinv_data = -np.log(data.q_values)
     sigma_log = data.sigma_q / data.q_values
 
+    q_inverse, gradient = _stack_plan(template, names, f_hz, data.temperatures)
+
     def residuals(theta):
-        if np.any(theta[bounded] < 0.0):
+        model = q_inverse(theta)
+        if model is None:
             return np.full(len(data), np.inf)
-        try:
-            stack = _unpack(template, names, theta)
-        except (OverflowError, ValueError):
-            # a trial step took a log parameter past exp's range: exp
-            # overflows, or underflows to 0, which no channel accepts
-            return np.full(len(data), np.inf)
-        model = total_q_inverse(stack, f_hz, data.temperatures)
         return (np.log(model) - log_qinv_data) / sigma_log
 
     def jacobian(theta):
-        stack = _unpack(template, names, theta)
-        grads = [_channel_gradient(ch, f_hz, data.temperatures) for ch in stack.channels]
-        model = sum(q_inv for q_inv, _ in grads)
-        columns = [grads[idx][1][attr] for idx, attr, _ in names]
+        model, columns = gradient(theta)
         return np.column_stack(columns) / (model * sigma_log)[:, None]
 
     if not np.isfinite(residuals(theta0)).all():
@@ -303,7 +378,7 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
             + (", ".join(culprits) or "the summed Q^-1 is 0 or overflows")
         )
 
-    options = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15, x_scale="jac")
+    options = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
     result, sigma_theta, sv = fit_least_squares(
         "loss-stack", residuals, theta0, jac=jacobian, **options
     )

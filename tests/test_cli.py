@@ -515,6 +515,21 @@ def test_weak_duffing_response_sweeps_to_strict_json(capsys, tmp_path, data_dir,
     assert payload["peak_amplitude"] == amps.max()
 
 
+@pytest.mark.parametrize("fields, expected", [
+    # softening at Q = 31.53: three roots from the window's lower edge up
+    ({"f0_Hz": 664.3e6, "Q": 31.53, "beta_Hz2_per_m2": -6.577e14, "drive_m_Hz2": 8.135e17},
+     [159244119.2, 558542778.4]),
+    # one root at every point
+    ({"Q": 1e-30, "drive_m_Hz2": 5e11}, None),
+], ids=["softening-Q-31.53", "Q-1e-30"])
+def test_duffing_sweep_reports_the_three_root_range(capsys, tmp_path, data_dir, fields, expected):
+    path = _config_with(tmp_path, data_dir, "duffing", **fields)
+    payload = run_json(capsys, "duffing-sweep", "--config", path, "--points", "4001")
+    if expected is None:
+        assert payload["bistable_range_Hz"] is None
+    else:
+        assert payload["bistable_range_Hz"] == pytest.approx(expected, abs=0.1)
+
 @pytest.mark.parametrize("command", ["couple", "iswap"])
 @pytest.mark.parametrize("section, field", [("bvd", "Lm_H"), ("shunt", "Cr_F"), ("shunt", "Lr_H")])
 def test_resonance_of_underflowing_lc_product_is_rejected(capsys, tmp_path, data_dir, command, section, field):

@@ -1,17 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qmem import analysis, duffing, electromech, losses
 from qmem.core import (
     CONSTANTS,
     FrequencyTrace,
     TimeTrace,
     angular,
+    fit_least_squares,
     ordinary,
     thermal_decoherence_time,
     thermal_occupation,
 )
+from qmem.errors import FitDidNotConverge
 
 
 def test_angular_ordinary_round_trip():
@@ -112,3 +116,97 @@ def test_time_trace_validation():
         TimeTrace([0.0, 0.0], [1.0, 2.0])
     trace = TimeTrace([0.0, 1.0], [2.0, 1.0])
     assert len(trace) == 2
+
+
+class _Problem(Exception):
+    """Raised in place of the helper, with its (name, residuals, theta0)
+    as ``args`` and its keyword options."""
+
+    def __init__(self, *args, **options):
+        super().__init__(*args)
+        self.options = options
+
+
+def _problem(module, fit, *args, **kwargs):
+    """The (name, residuals, theta0) and options ``fit`` hands the helper."""
+
+    def record(*args, **options):
+        raise _Problem(*args, **options)
+
+    with mock.patch.object(module, "fit_least_squares", record):
+        with pytest.raises(_Problem) as info:
+            fit(*args, **kwargs)
+    return info.value
+
+
+def _fit_problems():
+    """The first least-squares problem of each fit, on noisy synthetic data."""
+    rng = np.random.default_rng(11)
+    f0, q = 97.2e6, 6.8e5
+    f = f0 + f0 / q * np.linspace(-10.0, 10.0, 401)
+    mag = np.abs(0.05 + 1.0 / (1.0 + 2j * q * (f - f0) / f0)) * (1.0 + 3e-3 * rng.standard_normal(f.size))
+    t = np.linspace(0.0, 4e-3, 400)
+    ring = np.exp(-t / 1e-3) + 0.01 + 1e-3 * rng.standard_normal(t.size)
+    bvd = electromech.BvdParams(C0=8.96e-16, Cm=1.38e-19, Lm=18.9)
+    f_adm = np.linspace(0.997, 1.003, 400) * bvd.series_resonance_hz
+    adm = electromech.bvd_admittance(bvd, f_adm) * (1.0 + 1e-3 * rng.standard_normal(f_adm.size))
+    f_m = 97.5e6
+    truth = losses.LossStack((
+        losses.ZenerChannel(4e-5, math.exp(-150.0 / 40.0) / angular(f_m), 150.0),
+        losses.PowerLawChannel(2e-10, 4.0),
+        losses.ConstantChannel(1.1e6),
+    ))
+    template = losses.LossStack((
+        losses.ZenerChannel(2e-5, math.exp(-150.0 / 36.0) / angular(f_m), 150.0),
+        losses.PowerLawChannel(5e-10, 3.7),
+        losses.ConstantChannel(0.77e6),
+    ))
+    temps = np.geomspace(4.0, 300.0, 40)
+    q_t = losses.total_q(truth, f_m, temps) * (1.0 + 2e-3 * rng.standard_normal(temps.size))
+    amps = np.array([1.0, 1.3, 1.7, 2.2, 2.8])
+    return [
+        _problem(analysis, analysis.fit_lorentzian, FrequencyTrace(f, mag)),
+        _problem(analysis, analysis.fit_ringdown, TimeTrace(t, ring)),
+        _problem(electromech, electromech.fit_bvd, FrequencyTrace(f_adm, adm)),
+        _problem(electromech, electromech.fit_bvd, FrequencyTrace(f_adm, adm), fit_rm=True),
+        _problem(losses, losses.fit_loss_stack, losses.QvsTDataset(temps, q_t, 2e-3 * q_t), f_m, template),
+        _problem(duffing, duffing.fit_backbone, list(zip(amps, 1e6 + 1e3 * amps**2.1))),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fit_problems():
+    return _fit_problems()
+
+
+def test_fit_helper_matches_least_squares_lm(fit_problems):
+    from scipy.optimize import least_squares
+
+    for problem in fit_problems:
+        name, residuals, theta0 = problem.args
+        result, sigma, _ = fit_least_squares(name, residuals, theta0, **problem.options)
+        oracle = least_squares(residuals, theta0, method="lm", x_scale="jac", **problem.options)
+        assert oracle.success, name
+        for field in ("x", "fun", "jac"):
+            assert np.array_equal(result[field], oracle[field]), (name, field)
+        assert result.cost == oracle.cost, name
+        for field in ("status", "nfev", "njev"):
+            assert isinstance(result[field], int) and result[field] > 0, (name, field)
+        assert np.isfinite(sigma).all(), name
+
+
+def test_fit_helper_names_the_fit_when_out_of_evaluations(fit_problems):
+    for problem in fit_problems:
+        name, residuals, theta0 = problem.args
+        options = dict(problem.options, max_nfev=1)
+        with pytest.raises(FitDidNotConverge, match=f"^{name} fit failed: ") as info:
+            fit_least_squares(name, residuals, theta0, **options)
+        assert "\n" not in str(info.value)
+
+
+def test_fit_helper_rejects_a_non_finite_initial_point():
+    def residuals(theta):
+        return np.array([np.inf, 1.0, 2.0]) * theta[0]
+
+    with pytest.raises(ValueError, match="ringdown fit"):
+        fit_least_squares("ringdown", residuals, [1.0], jac=lambda theta: np.ones((3, 1)))

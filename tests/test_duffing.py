@@ -374,6 +374,61 @@ def test_bistable_range_at_the_critical_drive():
     assert _root_counts(above, [lo - step, lo + step, hi - step, hi + step]) == [1, 3, 3, 1]
 
 
+
+def _cli_window(p):
+    """The default window of ``qmem duffing-sweep``: 100 linewidths either
+    side of f0, with a positive lower edge at Q <= 100."""
+    span = 100.0 / p.Q
+    return (p.f0 * (1.0 - span) if span < 1.0 else p.f0 / (1.0 + span)), p.f0 * (1.0 + span)
+
+
+def test_bistable_range_of_a_strongly_driven_low_q_softening_resonator():
+    # the discriminant quintic has one real root: the cubic has three real
+    # roots from f = 0 up to it, so the range starts at the window's edge
+    p = DuffingParams(f0=664.3e6, Q=31.53, beta=-6.577e14, drive=8.135e17)
+    window = _cli_window(p)
+    lo, hi = _bistable_range(p, *window)
+    assert lo == window[0]
+    assert hi == pytest.approx(558542778.4, abs=0.1)
+    step = 1e-6 * p.f0 / p.Q
+    assert _root_counts(p, [lo, 0.5 * (lo + hi), hi - step, hi + step]) == [3, 3, 3, 1]
+    # the two sweep directions differ inside the range and nowhere else
+    fwd, bwd = (sweep(p, *window, direction, n_points=4001) for direction in ("forward", "backward"))
+    assert fwd.bistable_range == (lo, hi)
+    differ = fwd.amplitudes != bwd.amplitudes
+    assert differ.sum() == 612
+    assert np.all((fwd.frequencies[differ] >= lo) & (fwd.frequencies[differ] <= hi))
+
+
+def test_no_bistable_range_at_vanishing_q():
+    # at Q = 1e-30 the quintic's coefficients span 1e90, and np.roots
+    # returns real roots that bound no three-root range
+    p = DuffingParams(f0=97.2e6, Q=1e-30, beta=5e8, drive=5e11)
+    window = _cli_window(p)
+    assert _bistable_range(p, *window) is None
+    assert set(_root_counts(p, np.linspace(*window, 1001))) == {1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=driven_params(factors=st.floats(0.2, 50.0), qs=st.floats(1.0, 100.0)))
+def test_bistable_range_covers_every_three_root_point_at_low_q(p):
+    window = _cli_window(p)
+    grid = np.linspace(*window, 2001)
+    three = grid[np.array(_root_counts(p, grid)) == 3]
+    edges = _bistable_range(p, *window)
+    if edges is None:
+        assert three.size == 0
+        return
+    lo, hi = edges
+    assert np.all((three >= lo) & (three <= hi))
+    # each edge inside the window bounds a three-root piece
+    step = min(1e-6 * p.f0 / p.Q, (hi - lo) / 4.0)
+    assert _root_counts(p, [lo + step, hi - step]) == [3, 3]
+    if lo > window[0]:
+        assert _root_counts(p, [lo - step]) == [1]
+    if hi < window[1]:
+        assert _root_counts(p, [hi + step]) == [1]
+
 def _branch_loop(lower, upper, on_upper):
     """The scalar branch-following loop that ``sweep`` replaces with array
     code: start on the upper branch if ``on_upper``, then take the branch

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmem.core import angular
 from qmem import losses
@@ -362,3 +365,54 @@ def test_unpack_matches_per_parameter_replace(monkeypatch):
     assert fit.stack == reference.stack
     assert fit.uncertainties == reference.uncertainties
     assert fit.residual_norm == reference.residual_norm
+
+
+def _stack_residuals(data, f_hz, template):
+    """The residual function ``fit_loss_stack`` hands the fit helper."""
+
+    class Captured(Exception):
+        pass
+
+    def record(name, residuals, theta0, **options):
+        raise Captured(residuals)
+
+    with mock.patch.object(losses, "fit_least_squares", record):
+        with pytest.raises(Captured) as info:
+            fit_loss_stack(data, f_hz, template)
+    return info.value.args[0]
+
+
+# in range, or far enough out that exp overflows or underflows to 0
+log_offsets = st.one_of(st.floats(-3.0, 3.0), st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    logs=st.tuples(log_offsets, log_offsets, log_offsets, log_offsets),
+    activation=st.floats(-50.0, 400.0),
+    exponent=st.floats(-1.0, 6.0),
+)
+def test_residuals_are_those_of_the_unpacked_stack(logs, activation, exponent):
+    # the fit evaluates its channel kernels on raw values; the residuals
+    # are those of the stack _unpack builds, bit for bit, and infinite
+    # where a bounded parameter is negative or no stack can be built
+    f = 97.5e6
+    template = LossStack((
+        peaked_zener(f, 36.0, delta=2e-5),
+        PowerLawChannel(coefficient=5e-10, exponent=3.7),
+        ConstantChannel(0.77e6),
+    ))
+    truth = LossStack((peaked_zener(f, 40.0, delta=4e-5), PowerLawChannel(2e-10, 4.0), ConstantChannel(1.1e6)))
+    data = make_dataset(truth, f, np.geomspace(4.0, 300.0, 40), noise=2e-3, seed=3)
+    names, _, bounded = losses._pack(template)
+    theta = np.array([logs[0], logs[1], activation, logs[2], exponent, logs[3]])
+    try:
+        if np.any(theta[bounded] < 0.0):
+            raise ValueError("negative bounded parameter")
+        model = total_q_inverse(losses._unpack(template, names, theta), f, data.temperatures)
+        with np.errstate(all="ignore"):
+            expected = (np.log(model) + np.log(data.q_values)) / (data.sigma_q / data.q_values)
+    except (OverflowError, ValueError):
+        expected = np.full(len(data), np.inf)
+    residuals = _stack_residuals(data, f, template)
+    assert residuals(theta).tobytes() == expected.tobytes()
