@@ -255,12 +255,17 @@ def effective_coupling(system: TriModeSystem, drive: DriveSpec) -> EffectiveHami
     )
 
 
+def _levels(dims: tuple[int, ...], which: int) -> np.ndarray:
+    """The level of mode ``which`` in each basis state of the product space
+    of ``dims``, last mode fastest."""
+    return (np.arange(math.prod(dims)) // math.prod(dims[which + 1:])) % dims[which]
+
+
 def _lowering(dims: tuple[int, ...], which: int) -> np.ndarray:
     """Lowering operator of mode ``which`` on the product space of ``dims``, last
     mode fastest: <i| a |i + stride> = sqrt(that mode's level in i + stride)."""
     stride = math.prod(dims[which + 1:])
-    level = (np.arange(math.prod(dims)) // stride) % dims[which]
-    return np.diag(np.sqrt(level[stride:]), stride)
+    return np.diag(np.sqrt(_levels(dims, which)[stride:]), stride)
 
 
 def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> np.ndarray:
@@ -269,7 +274,10 @@ def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> n
     ``dims`` is (d_q, d_m) or (d_q, d_m, d_s) with d_q in {2, 3} and
     d_m >= 2.  Contains the beam-splitter exchange term, the qubit
     self-Kerr (inert in the two-level truncation), and, when a mixer
-    dimension is included, the qubit-mixer cross-Kerr.
+    dimension is included, the qubit-mixer cross-Kerr.  Built from level
+    indices: the Kerr terms are diagonal, and the exchange q m^dag is one
+    diagonal at offset d_s (d_m - 1), the qubit stride less the mechanics
+    stride, with <n_q, n_m| q m^dag |n_q + 1, n_m - 1> = sqrt(n_q + 1) sqrt(n_m).
     """
     if len(dims) not in (2, 3):
         raise ValueError("dims must be (d_q, d_m) or (d_q, d_m, d_s)")
@@ -278,15 +286,18 @@ def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> n
         raise ValueError("qubit dimension must be 2 or 3")
     if d_m < 2:
         raise ValueError("mechanics Fock cutoff must be >= 2")
-    q = _lowering(dims, 0)
-    m = _lowering(dims, 1)
-    exchange = eff.g_eff * cmath.exp(-1j * eff.drive_phase) * (q @ m.conj().T)
-    h = exchange + exchange.conj().T
-    number_q = q.conj().T @ q
-    h = h + 0.5 * eff.qubit_self_kerr * (q.conj().T @ q.conj().T @ q @ q)
+    n_q, n_m = _levels(dims, 0), _levels(dims, 1)
+    diagonal = 0.5 * eff.qubit_self_kerr * (n_q * (n_q - 1.0))
     if len(dims) == 3:
-        s = _lowering(dims, 2)
-        h = h + eff.cross_kerr * (number_q @ (s.conj().T @ s))
+        diagonal += eff.cross_kerr * (n_q * _levels(dims, 2))
+    h = np.diag(diagonal.astype(complex))
+    offset = math.prod(dims[1:]) - math.prod(dims[2:])
+    # zero at n_m = 0, where column i + offset is |n_q, d_m - 1>, which m^dag
+    # lifts past the cutoff
+    exchange = eff.g_eff * cmath.exp(-1j * eff.drive_phase) * (
+        np.sqrt(n_q[:-offset] + 1.0) * np.sqrt(n_m[:-offset]))
+    np.fill_diagonal(h[:, offset:], exchange)
+    np.fill_diagonal(h[offset:], exchange.conj())
     return h
 
 
@@ -298,7 +309,8 @@ class DensityMatrix:
     (eigenvalue floor -1e-9) at construction, so every final state that
     ``evolve`` and ``iswap`` return carries those guarantees.  Their
     propagator rebuilds each pair of transpose partners from the same
-    two real coordinates, so those states are exactly Hermitian.
+    two real coordinates, and the lossless swap gate averages its state
+    with its adjoint, so those states are exactly Hermitian.
     """
 
     dims: tuple[int, ...]
@@ -431,9 +443,24 @@ def _propagate(a: np.ndarray, b: np.ndarray, generator: np.ndarray,
     if not (np.isfinite(records).all() and np.isfinite(last).all()):
         raise ValueError(f"Lindblad propagation over {duration:.3g} s at rates up to "
                          f"{np.abs(generator).max():.3g}/s leaves the float range")
-    final = np.zeros_like(rho0)
-    final[a, b] = _entries(a, b, last)
-    return times, records, final
+    return times, records, _state(a, b, last, len(rho0))
+
+
+def _state(a: np.ndarray, b: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """The size x size state whose entries rho[a, b] have the coordinates x;
+    every other entry is zero."""
+    rho = np.zeros((size, size), dtype=complex)
+    rho[a, b] = _entries(a, b, x)
+    return rho
+
+
+def _unitary(h_block: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution under H alone on a block of levels that H maps into itself:
+    (B, P) with H = B diag(E) B^dag and P[t, k] = exp(-2 pi i E_k t), so that
+    psi(t) = B (P[t] * B^dag psi0) and rho(t) = W rho~0 W^dag with W = B P[t]
+    (columns scaled) and rho~0 = B^dag rho0 B."""
+    energies, basis = np.linalg.eigh(h_block)
+    return basis, np.exp(np.outer(times, -1j * TWO_PI * energies))
 
 
 def evolve(
@@ -496,6 +523,12 @@ class IswapResult:
     closed form 1/(4*g_eff) (the pulse written as pi/(2*g_eff) in angular
     units).  ``t_iswap`` is the conventional swap-time figure
     1/(2*g_eff), twice the transfer time.
+
+    ``rho_final`` and ``populations`` are the state at ``gate_time``.
+    Without dissipators that state is exact in closed form, and
+    ``fidelity`` is the constant <psi0| rho0 |psi0>, with
+    ``swap_fidelity`` equal to it.  With dissipators the state is the
+    record at ``gate_time`` when the grid holds that time within 2 ulp.
     """
 
     rho_final: DensityMatrix
@@ -547,6 +580,14 @@ def iswap(
     dephasing rates; the mixer itself is adiabatically eliminated.  The
     reported fidelity compares against the dissipation-free evolution of
     the same initial state (which must be pure).
+
+    When every rate is zero (``dissipation=False``, or all rates 0) the
+    gate builds no Liouvillian and imports no scipy: on the n levels that
+    rho0's support reaches through the pattern of H, H = B diag(E) B^dag
+    once, and rho(t) = B (rho~0 o exp(-2 pi i (E_k - E_l) t)) B^dag with
+    rho~0 = B^dag rho0 B.  With dissipators the gate-time state is the
+    record whose time equals the gate time within 2 ulp (record 800 of
+    the default grid), and a second exponential only when none does.
     """
     eff = effective_coupling(system, drive)
     eff = replace(eff, drive_phase=math.pi)
@@ -584,42 +625,73 @@ def iswap(
         decay = [0.0, 0.0]
         dephasing = [0.0, 0.0]
 
-    a, b, generator = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
     # run past the nominal gate time so the first transfer maximum is
     # bracketed by recorded samples
     window = max(gate_time, 1.25 / (4.0 * eff.g_eff))
-    times, records, _ = _propagate(a, b, generator, rho0.matrix, window, n_records)
-    # populations from the diagonal coordinates, zero where never reached
-    pop_e0, pop_g1 = (records[:, (a == k) & (b == k)].sum(axis=1)
-                      for k in np.ravel_multi_index(([1, 0], [0, 1]), dims))
+    levels = np.ravel_multi_index(([1, 0], [0, 1]), dims)  # |e,0> and |g,1>
+    pure = rho0.purity > 1.0 - 1e-6
+    if any(decay + dephasing):
+        a, b, generator = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
+        times, records, _ = _propagate(a, b, generator, rho0.matrix, window, n_records)
+        # populations from the diagonal coordinates, zero where never reached
+        pop_e0, pop_g1 = (records[:, (a == k) & (b == k)].sum(axis=1) for k in levels)
+        # the state at the gate time is the record at that time when the grid
+        # holds it, and one more exponential otherwise
+        on_grid = np.flatnonzero(np.abs(times - gate_time) <= 2.0 * np.spacing(gate_time))
+        if on_grid.size:
+            final = _state(a, b, records[on_grid[0]], len(h))
+        else:
+            final = _propagate(a, b, generator, rho0.matrix, gate_time, 0)[2]
+        if pure:
+            # the ideal unitary evolution of a pure rho0 stays on the states
+            # idx that the reached entries touch, which H maps into themselves
+            idx = np.union1d(a, b)
+            block = np.ix_(idx, idx)
+            psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
+            basis, phases = _unitary(h[block], np.append(times, gate_time))
+            ideal = (phases * (basis.conj().T @ psi0)) @ basis.T
+            # <ideal| rho |ideal> = sum over a <= b of (2 - [a = b]) Re(z rho[a, b])
+            # with z = conj(ideal[a]) ideal[b], that is Re z x_ab + Im z x_ba
+            up = np.flatnonzero(a <= b)
+            z = ideal[:-1, np.searchsorted(idx, a[up])].conj()
+            z *= ideal[:-1, np.searchsorted(idx, b[up])]
+            z.real *= records[:, up]
+            z.imag *= records[:, np.lexsort((a, b))[up]]
+            fidelity = (z.real + z.imag) @ np.where(a[up] < b[up], 2.0, 1.0)
+            swap_fidelity = float(np.real(ideal[-1].conj() @ final[block] @ ideal[-1]))
+    else:
+        # no dissipator: rho(t) = U rho0 U^dag on the levels that rho0's
+        # support reaches through the pattern of H, which H maps into themselves
+        reached = rho0.matrix.any(axis=0) | rho0.matrix.any(axis=1)
+        pattern = h != 0
+        while not np.array_equal(reached, grown := reached | pattern[reached].any(axis=0)):
+            reached = grown
+        idx = np.flatnonzero(reached)
+        block = np.ix_(idx, idx)
+        times = np.linspace(0.0, window, n_records)
+        basis, phases = _unitary(h[block], np.append(times, gate_time))
+        rotated = basis.conj().T @ rho0.matrix[block] @ basis
+        # B's rows on the full space, zero at the levels never reached
+        rows = np.zeros((len(h), len(idx)), dtype=complex)
+        rows[idx] = basis
+        # rho(t)[i, i] = P[t] c_i P[t]^dag with c_i[k, l] = B[i, k] rho~0[k, l] conj(B[i, l])
+        c = rows[levels, :, None] * rotated * rows[levels, None, :].conj()
+        pop_e0, pop_g1 = ((phases[:-1] @ c) * phases[:-1].conj()).sum(axis=-1).real
+        w = rows * phases[-1]
+        final = w @ rotated @ w.conj().T
+        final = 0.5 * (final + final.conj().T)  # exactly Hermitian
+        if pure:
+            # the state never leaves the ideal evolution, so the fidelity is
+            # <psi0| rho0 |psi0>, rho0's largest eigenvalue, at every record
+            swap_fidelity = float(np.linalg.eigvalsh(rho0.matrix[block])[-1])
+            fidelity = np.full(len(times), swap_fidelity)
+    if not pure:
+        fidelity, swap_fidelity = np.full(len(times), np.nan), math.nan
     transfer_time = _first_maximum(times, pop_g1)
 
     # state and populations are reported at the gate time itself
-    rho_final = DensityMatrix(dims, _propagate(a, b, generator, rho0.matrix, gate_time, 0)[2])
+    rho_final = DensityMatrix(dims, final)
     populations = _populations(rho_final)
-
-    if rho0.purity > 1.0 - 1e-6:
-        # the ideal unitary evolution of a pure rho0 stays on the states
-        # idx that the reached entries touch, which H maps into themselves
-        idx = np.union1d(a, b)
-        block = np.ix_(idx, idx)
-        psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
-        energies, basis = np.linalg.eigh(h[block])
-        coeffs = basis.conj().T @ psi0
-        ideal = (np.exp(np.outer(times, -1j * TWO_PI * energies)) * coeffs) @ basis.T
-        # <ideal| rho |ideal> = sum over a <= b of (2 - [a = b]) Re(z rho[a, b])
-        # with z = conj(ideal[a]) ideal[b], that is Re z x_ab + Im z x_ba
-        up = np.flatnonzero(a <= b)
-        z = ideal[:, np.searchsorted(idx, a[up])].conj()
-        z *= ideal[:, np.searchsorted(idx, b[up])]
-        z.real *= records[:, up]
-        z.imag *= records[:, np.lexsort((a, b))[up]]
-        fidelity = (z.real + z.imag) @ np.where(a[up] < b[up], 2.0, 1.0)
-        psi_gate = basis @ (np.exp(-1j * TWO_PI * energies * gate_time) * coeffs)
-        swap_fidelity = float(np.real(psi_gate.conj() @ rho_final.matrix[block] @ psi_gate))
-    else:
-        fidelity = np.full(len(times), np.nan)
-        swap_fidelity = math.nan
 
     return IswapResult(
         rho_final=rho_final,

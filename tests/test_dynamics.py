@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import tracemalloc
@@ -197,6 +198,38 @@ def test_rwa_hamiltonian_hermitian():
     for dims in ((2, 5), (3, 4), (2, 3, 2)):
         h = build_rwa_hamiltonian(eff, dims)
         assert np.linalg.norm(h - h.conj().T) < 1e-12 * np.linalg.norm(h)
+
+
+def kron_rwa_hamiltonian(eff, dims):
+    """H from Kronecker products of single-mode operators: the ladder
+    diag(sqrt(1, ..., d - 1), 1), its products, and the number operator
+    diag(0, ..., d - 1)."""
+    ladder = [np.diag(np.sqrt(np.arange(1, d)), 1) for d in dims]
+    eye = [np.eye(d) for d in dims]
+    exchange = eff.g_eff * cmath.exp(-1j * eff.drive_phase) * functools.reduce(
+        np.kron, [ladder[0], ladder[1].T] + eye[2:])
+    q = ladder[0]
+    h = exchange + exchange.conj().T
+    h = h + 0.5 * eff.qubit_self_kerr * functools.reduce(np.kron, [q.T @ q.T @ q @ q] + eye[1:])
+    if len(dims) == 3:
+        number = [np.diag(np.arange(d, dtype=float)) for d in dims]
+        h = h + eff.cross_kerr * functools.reduce(np.kron, [number[0], eye[1], number[2]])
+    return h
+
+
+def assert_within_one_ulp(got, expected):
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(expected)) <= np.spacing(np.abs(part(expected))))
+
+
+@pytest.mark.parametrize("phase", [math.pi, 0.7])
+def test_rwa_hamiltonian_matches_kron_reference(phase):
+    # level-index diagonals against dense products of Kronecker factors
+    eff = replace(effective_coupling(paper_system(), paper_drive()), drive_phase=phase)
+    for d_m in range(2, 101):
+        assert_within_one_ulp(build_rwa_hamiltonian(eff, (2, d_m)), kron_rwa_hamiltonian(eff, (2, d_m)))
+    for dims in ((3, 2), (3, 7), (2, 3, 2), (3, 2, 2), (3, 4, 3), (3, 6, 5)):
+        assert_within_one_ulp(build_rwa_hamiltonian(eff, dims), kron_rwa_hamiltonian(eff, dims))
 
 
 def test_rwa_hamiltonian_validates_dims():
@@ -696,6 +729,43 @@ def test_iswap_matches_full_space_reference(d_m, dissipation, n_records, rates, 
         assert abs(result.populations[key] - expected.population(levels)) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(d_m=st.integers(2, 5), rank=st.integers(1, 3), dissipation=st.booleans(),
+       n_records=st.integers(2, 24), data=st.data())
+def test_lossless_iswap_of_mixed_states_matches_full_space_reference(d_m, rank, dissipation,
+                                                                     n_records, data):
+    # rank 1-3 states on drawn supports, without dissipators: dissipation
+    # off, or on with every rate 0
+    dims = (2, d_m)
+    v = data.draw(unit_floats((rank, 2, 2 * d_m)))
+    support = data.draw(hnp.arrays(np.bool_, 2 * d_m))
+    vectors = (v[:, 0] + 1j * v[:, 1]) * support
+    norms = np.linalg.norm(vectors, axis=1)
+    assume(np.all(norms > 1e-3))
+    vectors /= norms[:, None]
+    weights = data.draw(hnp.arrays(np.float64, rank, elements=st.floats(0.1, 1.0)))
+    rho0 = DensityMatrix(dims, np.einsum("k,ki,kj->ij", weights / weights.sum(),
+                                         vectors, vectors.conj()))
+    system = paper_system(gamma_s=0.0)
+    result = iswap(system, paper_drive(), rho0=rho0, d_m=d_m, dissipation=dissipation,
+                   n_records=n_records)
+    h = build_rwa_hamiltonian(replace(effective_coupling(system, paper_drive()),
+                                      drive_phase=math.pi), dims)
+    states = full_space_records(rho0.matrix, h, [], list(result.times) + [result.gate_time])
+    e0, g1 = (int(np.ravel_multi_index(level, dims)) for level in ((1, 0), (0, 1)))
+    assert np.max(np.abs(result.pop_e0 - states[:-1, e0, e0].real)) < 1e-10
+    assert np.max(np.abs(result.pop_g1 - states[:-1, g1, g1].real)) < 1e-10
+    expected = DensityMatrix(dims, states[-1])
+    for key, levels in (("g0", (0, 0)), ("g1", (0, 1)), ("e0", (1, 0)), ("e1", (1, 1))):
+        assert abs(result.populations[key] - expected.population(levels)) < 1e-10
+    assert np.array_equal(result.rho_final.matrix, result.rho_final.matrix.conj().T)
+    if rank == 1:
+        overlap = np.vdot(vectors[0], rho0.matrix @ vectors[0]).real
+        assert np.all(result.fidelity == result.fidelity[0])
+        assert abs(result.fidelity[0] - overlap) < 1e-12
+        assert result.swap_fidelity == result.fidelity[0]
+
+
 @pytest.mark.parametrize("dissipation", [False, True])
 def test_iswap_of_mixed_state_has_no_fidelity(dissipation):
     # the fidelity compares against the unitary evolution of a pure rho0
@@ -734,10 +804,13 @@ def test_population_takes_a_level_for_every_mode():
         rho.population((1, 2))
 
 
-@pytest.mark.parametrize("n_records", [0, 2, 37, 1001])
-def test_iswap_returns_exactly_n_records(n_records):
-    result = iswap(paper_system(gamma_q=1e4), paper_drive(), n_records=n_records)
-    window = 1.25 / (4.0 * result.g_eff_hz)
+def check_record_grid(n_records, windows=0.0):
+    """iswap's record grid and gate-time state with a drive duration of
+    ``windows`` default windows 1.25/(4 g_eff), 0 for the default gate time."""
+    g_eff = effective_coupling(paper_system(), paper_drive()).g_eff
+    drive = paper_drive(duration=windows * 1.25 / (4.0 * g_eff))
+    result = iswap(paper_system(gamma_q=1e4), drive, n_records=n_records)
+    window = max(result.gate_time, 1.25 / (4.0 * result.g_eff_hz))
     np.testing.assert_allclose(result.times, np.linspace(0.0, window, n_records), rtol=1e-12)
     for series in (result.pop_e0, result.pop_g1, result.fidelity):
         assert series.shape == (n_records,)
@@ -746,8 +819,24 @@ def test_iswap_returns_exactly_n_records(n_records):
     else:
         assert math.isnan(result.transfer_time)
     # the state at the gate time does not depend on the record grid
-    reference = iswap(paper_system(gamma_q=1e4), paper_drive(), n_records=5)
+    reference = iswap(paper_system(gamma_q=1e4), drive, n_records=5)
+    assert np.max(np.abs(result.rho_final.matrix - reference.rho_final.matrix)) < 1e-12
     assert result.populations == pytest.approx(reference.populations, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_records", [0, 2, 11, 37, 1001])
+def test_iswap_returns_exactly_n_records(n_records):
+    # the default gate time is 0.8 of the window: the grids of 11 and 1001
+    # records hold it, those of 2, 5 and 37 do not
+    check_record_grid(n_records)
+
+
+@pytest.mark.parametrize("n_records", [0, 2, 11, 37, 1001])
+@pytest.mark.parametrize("windows", [2.0, 0.7777], ids=["past_window", "off_grid"])
+def test_iswap_duration_override_on_and_off_the_grid(windows, n_records):
+    # a duration past the window is the last record of every grid; 0.7777
+    # windows lies on none of them
+    check_record_grid(n_records, windows)
 
 
 def first_maximum_loop(times, values):

@@ -2,8 +2,9 @@
 never imports jsonschema, and ``qmem.cli`` imports numpy and the library
 modules only inside the subcommands that call them.  So ``import
 qmem.cli`` and ``load_config`` load no numpy, no jsonschema and no
-library module, and each subcommand loads only its own (``qmem couple``
-and ``qmem duffing-sweep`` load no scipy).  Every fit goes through the
+library module, and each subcommand loads only its own (``qmem couple``,
+``qmem duffing-sweep`` and the lossless ``qmem iswap --dissipation off``
+load no scipy).  Every fit goes through the
 one least-squares helper, with an exact Jacobian, and the Lindbladian is
 gathered on the reached entries of rho, never built by Kronecker
 products."""
@@ -196,6 +197,19 @@ def test_couple_loads_no_scipy(data_dir):
     assert {"qmem.dynamics", "qmem.electromech"} <= modules
     unused = {f"qmem.{name}" for name in ("analysis", "duffing", "losses", "phonon_chain", "photoelastic")}
     assert not modules & unused
+
+
+def test_lossless_iswap_loads_no_scipy(data_dir):
+    # without dissipators the gate evolves in H's eigenbasis, with no expm
+    modules = _modules_after(
+        "import contextlib, io\n"
+        "from qmem.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['iswap', '--config', {str(data_dir / 'reference_config.json')!r}, "
+        "'--dissipation', 'off']) == 0\n"
+    )
+    assert "qmem.dynamics" in modules
+    assert "scipy" not in _roots(modules)
 
 
 def test_duffing_sweep_loads_no_scipy(data_dir, tmp_path):
