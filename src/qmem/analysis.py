@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table
+from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table, remember_last
 from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
@@ -83,6 +83,7 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     fwhm = max(f[right] - f[left], f[1] - f[0])
     q_init = min(max(f0_init / fwhm, 1.0), 1e9)
 
+    @remember_last  # the Jacobian at theta reuses the residuals' model
     def model(theta):
         """Complex model m and its denominator 1 + 2iQ(f - f0)/f0."""
         f0, log_q, re_a, im_a, bg = theta

@@ -80,6 +80,21 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
     return 1.0 / ((n_th + 1.0) * gamma)
 
 
+def remember_last(fn):
+    """``fn`` of a parameter array keeping its last result, which a call at
+    the same theta (by its bytes) returns unevaluated: MINPACK takes each
+    Jacobian where its last accepted residual call was."""
+    key = result = None
+
+    def remembered(theta):
+        nonlocal key, result
+        if theta.tobytes() != key:
+            result, key = fn(theta), theta.tobytes()
+        return result
+
+    return remembered
+
+
 def fit_least_squares(name: str, residuals, theta0, *, jac, ftol=1e-8, xtol=1e-8, gtol=1e-8,
                       max_nfev=None):
     """Minimize |residuals(theta)|^2 from ``theta0`` with MINPACK's
@@ -90,7 +105,9 @@ def fit_least_squares(name: str, residuals, theta0, *, jac, ftol=1e-8, xtol=1e-8
     (``diag=None``), the ``x_scale="jac"`` of ``least_squares``, whose
     default for ``lm`` was a unit scale before scipy 1.16; ``leastsq``
     gives every fit the same scaling on every scipy.  At most ``max_nfev``
-    residual evaluations, 100 per parameter by default.
+    residual evaluations, 100 per parameter by default.  Each trial point
+    is evaluated once: the finiteness check, ``leastsq``'s shape checks and
+    MINPACK share theta0, and ``jac(x)`` reuses a last Jacobian taken at x.
 
     Returns the result (x, fun and ``jac(x)`` at the solution, cost
     |fun|^2/2, MINPACK's status, nfev, njev) and
@@ -101,6 +118,7 @@ def fit_least_squares(name: str, residuals, theta0, *, jac, ftol=1e-8, xtol=1e-8
     """
     from scipy.optimize import OptimizeResult, leastsq
 
+    residuals, jac = remember_last(residuals), remember_last(jac)
     theta0 = np.asarray(theta0, dtype=float)
     if not np.isfinite(residuals(theta0)).all():
         raise ValueError(f"{name} fit: residuals are not finite at the initial point")

@@ -213,11 +213,12 @@ def _window_states(p: DuffingParams, f_lo: float, f_hi: float, n_points: int):
     """
     freqs = np.linspace(f_lo, f_hi, n_points)
     states, stable = _steady_states(p, freqs)
-    # the response rides the lowest or the highest stable state (the middle
-    # of three is unstable); every state counts if none is stable
-    keep = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(states))
-    lower = np.where(keep, states, np.inf).min(axis=1)
-    upper = np.where(keep, states, -np.inf).max(axis=1)
+    # the response rides the lowest or highest stable state (the middle of
+    # three is unstable), or any if none is; columns reduce faster than axis 1
+    keep = np.where((stable[:, 0] | stable[:, 1] | stable[:, 2])[:, None], stable, ~np.isnan(states))
+    low, high = np.where(keep, states, np.inf).T, np.where(keep, states, -np.inf).T
+    lower = np.minimum(np.minimum(low[0], low[1]), low[2])
+    upper = np.maximum(np.maximum(high[0], high[1]), high[2])
     _check_finite(p, "swept amplitude", lower, upper)
     for arr in (freqs, lower, upper):
         arr.flags.writeable = False
@@ -252,7 +253,7 @@ def sweep(
     # sweep from far away would ride in on
     on_upper = _follow_branch(lower, upper, (direction == "forward") == (p.beta > 0.0))
     amps = np.where(on_upper, upper, lower)
-    labels = np.where(amps == upper, "upper", "lower")
+    labels = np.array(["lower", "upper"], dtype=object)[(amps == upper).view(np.uint8)]
 
     if direction == "backward":
         amps, labels = amps[::-1], labels[::-1]

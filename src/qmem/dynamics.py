@@ -322,14 +322,14 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (size, size):
             raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
-        if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-9")
-        # zero rows and columns add only zero eigenvalues, so the support
-        # block decides positivity alone
+        # rows and columns without a nonzero change none of the three checks
         block = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
-        if float(np.min(np.linalg.eigvalsh(rho[block][:, block]))) < -1e-9:
+        support = rho[block][:, block]
+        if float(np.max(np.abs(support - support.conj().T), initial=0.0)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian within 1e-10")
+        if abs(float(np.trace(support).real) - 1.0) > 1e-9:
+            raise ValueError("density matrix trace differs from 1 by more than 1e-9")
+        if float(np.min(np.linalg.eigvalsh(support))) < -1e-9:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", rho)

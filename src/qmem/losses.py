@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import angular, fit_least_squares, parameter_uncertainties, read_csv_table, write_csv_table
+from .core import (angular, fit_least_squares, parameter_uncertainties, read_csv_table, remember_last,
+                   write_csv_table)
 from .errors import DegenerateJacobian, TemplateOutOfRange
 
 
@@ -303,20 +304,24 @@ def _stack_plan(template: LossStack, names, f_hz: float, temperatures: np.ndarra
             raw.append(value)
         return raw
 
-    def q_inverse(theta):
+    @remember_last  # a Jacobian shares the kernel runs of its point's residuals
+    def parts(theta):
         raw = values(theta)
         if raw is None:
-            return None
-        return sum(kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels)
+            return None, None
+        return raw, [kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels]
+
+    def q_inverse(theta):
+        q_invs = parts(theta)[1]
+        return None if q_invs is None else sum(q_invs)
 
     def gradient(theta):
-        raw = values(theta)
-        parts = [kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels]
+        raw, q_invs = parts(theta)
         columns = [
-            column for (_, grad, i, j), q_inv in zip(channels, parts)
+            column for (_, grad, i, j), q_inv in zip(channels, q_invs)
             for column in grad(f_hz, temperatures, q_inv, *raw[i:j])
         ]
-        return sum(parts), columns
+        return sum(q_invs), columns
 
     return q_inverse, gradient
 

@@ -1,10 +1,11 @@
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmem import analysis, duffing, electromech, losses
+from qmem import analysis, core, duffing, electromech, losses
 from qmem.core import (
     CONSTANTS,
     FrequencyTrace,
@@ -210,3 +211,69 @@ def test_fit_helper_rejects_a_non_finite_initial_point():
 
     with pytest.raises(ValueError, match="ringdown fit"):
         fit_least_squares("ringdown", residuals, [1.0], jac=lambda theta: np.ones((3, 1)))
+
+
+def _held_refit_problem():
+    """The refit of a loss-stack fit that holds a power law's exponent at 0,
+    its data wanting -0.3."""
+    f = 1e8
+    temps = np.geomspace(4.0, 300.0, 40)
+
+    def zener(t_peak, delta):
+        return losses.ZenerChannel(delta, math.exp(-150.0 / t_peak) / angular(f), 150.0)
+
+    q = losses.total_q(losses.LossStack((losses.PowerLawChannel(1e-6, -0.3), zener(40.0, 4e-5))), f, temps)
+    template = losses.LossStack((losses.PowerLawChannel(3e-7, 0.5), zener(36.0, 2e-5)))
+    first = []
+
+    def record(*args, **options):
+        if first:
+            raise _Problem(*args, **options)
+        first.append(args)
+        return fit_least_squares(*args, **options)
+
+    with mock.patch.object(losses, "fit_least_squares", record):
+        with pytest.raises(_Problem) as info:
+            losses.fit_loss_stack(losses.QvsTDataset(temps, q, 1e-3 * q), f, template)
+    return info.value
+
+
+def _counted(fn, thetas):
+    """``fn`` appending a copy of each theta it is called with to ``thetas``."""
+
+    def counted(theta):
+        thetas.append(np.array(theta, dtype=float))
+        return fn(theta)
+
+    return counted
+
+
+def test_each_trial_point_is_evaluated_once(fit_problems):
+    # the finiteness check, leastsq's shape checks and MINPACK share the
+    # evaluations at theta0, so the calls match MINPACK's own counts
+    for problem in [*fit_problems, _held_refit_problem()]:
+        name, residuals, theta0 = problem.args
+        residual_thetas, jacobian_thetas = [], []
+        options = dict(problem.options, jac=_counted(problem.options["jac"], jacobian_thetas))
+        result, _, _ = fit_least_squares(name, _counted(residuals, residual_thetas), theta0, **options)
+        start = np.asarray(theta0, dtype=float).tobytes()
+        assert [theta.tobytes() for theta in residual_thetas].count(start) == 1, name
+        assert len(residual_thetas) <= result.nfev, name
+        assert len(jacobian_thetas) <= result.njev + 1, name
+
+
+def test_remembered_evaluations_change_no_fit(fit_problems):
+    # every fit, the held refit too, evaluated afresh at each call of its
+    # residuals, Jacobian and shared intermediates gives the same result
+    problems = [*fit_problems, _held_refit_problem()]
+    with contextlib.ExitStack() as patches:
+        for module in (core, analysis, losses):
+            patches.enter_context(mock.patch.object(module, "remember_last", lambda fn: fn))
+        afresh = [fit_least_squares(*p.args, **p.options) for p in [*_fit_problems(), _held_refit_problem()]]
+    for problem, (plain, plain_sigma, plain_sv) in zip(problems, afresh):
+        name = problem.args[0]
+        result, sigma, sv = fit_least_squares(*problem.args, **problem.options)
+        for field in ("x", "fun", "jac"):
+            assert np.array_equal(result[field], plain[field]), (name, field)
+        assert (result.nfev, result.njev) == (plain.nfev, plain.njev), name
+        assert np.array_equal(sigma, plain_sigma) and np.array_equal(sv, plain_sv), name

@@ -301,6 +301,20 @@ def test_batched_roots_match_per_point_reference(p, data):
     assert set(np.sum(~np.isnan(amps), axis=1)) <= {1, 3}
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=driven_params(), data=st.data())
+def test_window_states_are_the_extreme_kept_states(p, data):
+    # the response rides the lowest or highest stable state, or of every
+    # state where none is stable; the column-wise reduction picks exactly
+    # those of the per-point reference
+    freqs, lower, upper, _ = duffing._window_states(p, *_window(p, data), 101)
+    amps, stable = _roots_reference(p, freqs)
+    kept = np.where(stable.any(axis=1)[:, None], stable, ~np.isnan(amps))
+    for i, states in enumerate(amps.tolist()):
+        kept_states = [a for a, keep in zip(states, kept[i]) if keep]
+        assert (lower[i], upper[i]) == (min(kept_states), max(kept_states))
+
+
 def _amplitude_residual(p, f, a):
     lhs = a**2 * ((p.f0**2 - f**2 + 0.75 * p.beta * a**2) ** 2 + (p.f0 * f / p.Q) ** 2)
     return np.abs(lhs - p.drive**2) / p.drive**2

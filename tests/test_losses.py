@@ -295,6 +295,35 @@ def test_fit_holds_activation_at_zero_when_data_want_it_negative(monkeypatch):
     assert math.sqrt(2.0 * refit.cost) == pytest.approx(held.residual_norm, rel=1e-9)
 
 
+def test_fit_evaluates_the_template_once(monkeypatch):
+    # the out-of-range check, leastsq's shape checks and MINPACK's first
+    # residual and Jacobian share one run of the channel kernels at the
+    # template, and a Jacobian shares the run of its point's residuals
+    f = 97.5e6
+    template = LossStack((peaked_zener(f, 36.0, delta=2e-5), PowerLawChannel(5e-10, 3.7)))
+    truth = LossStack((peaked_zener(f, 40.0, delta=4e-5), PowerLawChannel(2e-10, 4.0)))
+    data = make_dataset(truth, f, np.geomspace(4.0, 300.0, 40), noise=2e-3, seed=3)
+    kernel, fit_least_squares = losses._power_law, losses.fit_least_squares
+    calls, solves = [], []
+
+    def counted(f_hz, t, coefficient, exponent):
+        calls.append((coefficient, exponent))
+        return kernel(f_hz, t, coefficient, exponent)
+
+    def recording(*args, **kwargs):
+        out = fit_least_squares(*args, **kwargs)
+        solves.append(out[0])
+        return out
+
+    monkeypatch.setitem(losses._KERNELS, PowerLawChannel, (counted, losses._power_law_gradient))
+    monkeypatch.setattr(losses, "fit_least_squares", recording)
+    fit_loss_stack(data, f, template)
+    [result] = solves
+    assert calls.count((5e-10, 3.7)) == 1
+    # plus one where the solution is not the last trial point
+    assert len(calls) <= result.nfev + 1
+
+
 def test_fit_requires_enough_points():
     f = 1e8
     template = LossStack((
