@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table, remember_last
+from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table
 from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
@@ -83,35 +83,30 @@ def fit_lorentzian(trace: FrequencyTrace) -> ResonanceFit:
     fwhm = max(f[right] - f[left], f[1] - f[0])
     q_init = min(max(f0_init / fwhm, 1.0), 1e9)
 
-    @remember_last  # the Jacobian at theta reuses the residuals' model
     def model(theta):
-        """Complex model m and its denominator 1 + 2iQ(f - f0)/f0."""
+        """|m| - y for the complex model m, and the Jacobian of |m|."""
         f0, log_q, re_a, im_a, bg = theta
-        denom = 1.0 + 2j * math.exp(log_q) * (f - f0) / f0
-        return bg + (re_a + 1j * im_a) / denom, denom
+        q, a = math.exp(log_q), re_a + 1j * im_a
+        denom = 1.0 + 2j * q * (f - f0) / f0
+        m = bg + a / denom
+        abs_m = np.abs(m)
 
-    def residuals(theta):
-        return np.abs(model(theta)[0]) - y
+        def jacobian():
+            # d|m| = Re(conj(m) dm)/|m|, with dm per parameter
+            a_over_denom2 = a / denom**2
+            dm = np.column_stack([
+                a_over_denom2 * 2j * q * f / f0**2,
+                -a_over_denom2 * (denom - 1.0),
+                1.0 / denom,
+                1j / denom,
+                np.ones_like(f),
+            ])
+            return np.real(np.conj(m)[:, None] * dm) / abs_m[:, None]
 
-    def jacobian(theta):
-        # d|m| = Re(conj(m) dm)/|m|, with dm per parameter
-        f0, log_q, re_a, im_a, _ = theta
-        m, denom = model(theta)
-        a_over_denom2 = (re_a + 1j * im_a) / denom**2
-        dm = np.column_stack([
-            a_over_denom2 * 2j * math.exp(log_q) * f / f0**2,
-            -a_over_denom2 * (denom - 1.0),
-            1.0 / denom,
-            1j / denom,
-            np.ones_like(f),
-        ])
-        return np.real(np.conj(m)[:, None] * dm) / np.abs(m)[:, None]
+        return abs_m - y, jacobian
 
     theta0 = np.array([f0_init, math.log(q_init), height, 0.0, bg_init])
-    result, sigma, _ = fit_least_squares(
-        "Lorentzian", residuals, theta0, jac=jacobian,
-        ftol=1e-15, xtol=1e-15, gtol=1e-15,
-    )
+    result, sigma, _ = fit_least_squares("Lorentzian", model, theta0, tol=1e-15)
 
     f0, log_q, re_a, im_a, bg = result.x
     if not (np.isfinite(result.x).all() and f[0] <= f0 <= f[-1]
@@ -167,20 +162,18 @@ def fit_ringdown(trace: TimeTrace) -> RingdownFit:
         if below.size > 0 and below[0] > 0:
             tau_init = max(float(t[below[0]]), float(t[1]))
 
-    def residuals(theta):
+    def model(theta):
         log_tau, a, offset = theta
-        return offset + a * np.exp(-t / math.exp(log_tau)) - y
-
-    def jacobian(theta):
-        log_tau, a, _ = theta
         tau = math.exp(log_tau)
         decay = np.exp(-t / tau)
-        return np.column_stack([a * decay * t / tau, decay, np.ones_like(t)])
+
+        def jacobian():
+            return np.column_stack([a * decay * t / tau, decay, np.ones_like(t)])
+
+        return offset + a * decay - y, jacobian
 
     theta0 = np.array([math.log(tau_init), a_init, offset_init])
-    result, sigma, _ = fit_least_squares(
-        "ringdown", residuals, theta0, jac=jacobian, ftol=1e-15, xtol=1e-15, gtol=1e-15,
-    )
+    result, sigma, _ = fit_least_squares("ringdown", model, theta0, tol=1e-15)
 
     tau = math.exp(result.x[0])
     if tau > 100.0 * span:

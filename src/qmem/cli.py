@@ -552,6 +552,10 @@ def cmd_backbone(args) -> tuple[dict, list | None]:
 
 
 def cmd_bandgap(args) -> tuple[dict, list | None]:
+    for option, value in (("--f-min", args.f_min), ("--f-max", args.f_max),
+                          ("--resolution", args.resolution)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value}")
     config = load_config(args.config) if args.config else {}
     import numpy as np
     from . import phonon_chain

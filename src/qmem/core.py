@@ -95,36 +95,38 @@ def remember_last(fn):
     return remembered
 
 
-def fit_least_squares(name: str, residuals, theta0, *, jac, ftol=1e-8, xtol=1e-8, gtol=1e-8,
-                      max_nfev=None):
-    """Minimize |residuals(theta)|^2 from ``theta0`` with MINPACK's
+def fit_least_squares(name: str, model, theta0, *, tol, max_nfev=None):
+    """Minimize |r(theta)|^2 from ``theta0`` with MINPACK's
     Levenberg-Marquardt ``lmder`` (Moré 1978), called through
-    ``scipy.optimize.leastsq`` with the exact Jacobian ``jac``.
+    ``scipy.optimize.leastsq`` with ftol = xtol = gtol = ``tol``.
 
+    ``model(theta)`` returns the residuals r and a function of no arguments
+    giving their exact Jacobian at theta, which must not read theta itself:
+    MINPACK reuses its buffer.  The helper keeps the last evaluation and
+    the last Jacobian by the bytes of theta, so the finiteness check,
+    ``leastsq``'s shape checks and MINPACK share the one at theta0, and
+    MINPACK's last Jacobian serves the solution where it was taken there.
     MINPACK scales each parameter by the norm of its Jacobian column
-    (``diag=None``), the ``x_scale="jac"`` of ``least_squares``, whose
-    default for ``lm`` was a unit scale before scipy 1.16; ``leastsq``
-    gives every fit the same scaling on every scipy.  At most ``max_nfev``
-    residual evaluations, 100 per parameter by default.  Each trial point
-    is evaluated once: the finiteness check, ``leastsq``'s shape checks and
-    MINPACK share theta0, and ``jac(x)`` reuses a last Jacobian taken at x.
+    (``diag=None``) on every scipy; ``least_squares`` made that, its
+    ``x_scale="jac"``, the ``lm`` default only in scipy 1.16.  At most
+    ``max_nfev`` evaluations, 100 per parameter by default.
 
-    Returns the result (x, fun and ``jac(x)`` at the solution, cost
-    |fun|^2/2, MINPACK's status, nfev, njev) and
-    :func:`parameter_uncertainties` at the solution.  Raises ValueError
-    when the residuals at ``theta0`` are not finite, and
-    ``FitDidNotConverge`` naming the fit unless MINPACK reports
-    convergence (status 1-4).
+    Returns the result (x, fun and jac at the solution, cost |fun|^2/2,
+    MINPACK's status, nfev, njev) and :func:`parameter_uncertainties` at
+    the solution.  Raises ValueError when the residuals at ``theta0`` are
+    not finite, and ``FitDidNotConverge`` naming the fit unless MINPACK
+    reports convergence (status 1-4).
     """
     from scipy.optimize import OptimizeResult, leastsq
 
-    residuals, jac = remember_last(residuals), remember_last(jac)
+    model = remember_last(model)
+    jac = remember_last(lambda theta: model(theta)[1]())
     theta0 = np.asarray(theta0, dtype=float)
-    if not np.isfinite(residuals(theta0)).all():
+    if not np.isfinite(model(theta0)[0]).all():
         raise ValueError(f"{name} fit: residuals are not finite at the initial point")
     x, _, info, message, status = leastsq(
-        residuals, theta0, Dfun=jac, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
-        maxfev=max_nfev or 100 * theta0.size,
+        lambda theta: model(theta)[0], theta0, Dfun=jac, full_output=True,
+        ftol=tol, xtol=tol, gtol=tol, maxfev=max_nfev or 100 * theta0.size,
     )
     if status not in (1, 2, 3, 4):
         raise FitDidNotConverge(f"{name} fit failed: {' '.join(message.split())}")

@@ -326,20 +326,18 @@ def fit_backbone(points) -> BackboneFit:
     if a_init == 0.0:
         a_init = 1.0
 
-    def residuals(theta):
+    def model(theta):
         f0, coeff, log_n = theta
-        return f0 + coeff * amps ** math.exp(log_n) - freqs
-
-    def jacobian(theta):
-        _, coeff, log_n = theta
         n = math.exp(log_n)
         power = amps**n
-        return np.column_stack([np.ones_like(amps), power, coeff * power * np.log(amps) * n])
 
-    result, _, _ = fit_least_squares(
-        "backbone", residuals, [f0_init, a_init, math.log(n_init)], jac=jacobian,
-        ftol=1e-15, xtol=1e-15, gtol=1e-15,
-    )
+        def jacobian():
+            return np.column_stack([np.ones_like(amps), power, coeff * power * np.log(amps) * n])
+
+        return f0 + coeff * power - freqs, jacobian
+
+    theta0 = [f0_init, a_init, math.log(n_init)]
+    result, _, _ = fit_least_squares("backbone", model, theta0, tol=1e-15)
     f0, coeff, log_n = result.x
     return BackboneFit(
         f0=float(f0),

@@ -190,57 +190,47 @@ def fit_bvd(trace: FrequencyTrace, fit_rm: bool = False) -> BvdParams:
     scale[scale == 0.0] = np.max(scale) if np.max(scale) > 0 else 1.0
     omega = angular(f)
 
-    def unpack(theta) -> BvdParams:
-        c0, cm = np.exp(theta[0]), np.exp(theta[1])
-        lm = 1.0 / (angular(theta[2]) ** 2 * cm)
-        rm = math.exp(theta[3]) if fit_rm else 0.0
-        return BvdParams(C0=c0, Cm=cm, Lm=lm, Rm=rm)
-
-    def reactance(theta):
-        """Motional reactance x_m in the pole-position parametrization, and
-        its derivatives by log Cm and by the series resonance in Hz."""
-        cm, omega_s = np.exp(theta[1]), angular(theta[2])
+    def model(theta):
+        # x_m, the motional reactance in the pole-position parametrization
+        c0, cm, omega_s = np.exp(theta[0]), np.exp(theta[1]), angular(theta[2])
         x_m = (omega**2 - omega_s**2) / (omega * omega_s**2 * cm)
-        return x_m, -x_m, -2.0 * TWO_PI * omega / (omega_s**3 * cm)
-
-    def residuals(theta):
-        c0 = np.exp(theta[0])
-        x_m = reactance(theta)[0]
         if fit_rm:
-            y = 1j * omega * c0 + 1.0 / (math.exp(theta[3]) + 1j * x_m)
-            return np.concatenate([
+            rm = math.exp(theta[3])
+            z_m = rm + 1j * x_m
+            y = 1j * omega * c0 + 1.0 / z_m
+            residuals = np.concatenate([
                 (np.imag(y) - np.imag(y_data)) / scale,
                 (np.real(y) - np.real(y_data)) / scale,
             ])
-        b = omega * c0 - 1.0 / x_m
-        return (b - np.imag(y_data)) / scale
+        else:
+            residuals = (omega * c0 - 1.0 / x_m - np.imag(y_data)) / scale
 
-    def jacobian(theta):
-        c0 = math.exp(theta[0])
-        x_m, dx_log_cm, dx_f_s = reactance(theta)
-        if fit_rm:
-            rm = math.exp(theta[3])
-            # dY = -dZ/Z^2 for the motional branch Z = Rm + i x_m
-            inv_z2 = 1.0 / (rm + 1j * x_m) ** 2
-            dy = np.column_stack([
-                1j * omega * c0,
-                -1j * dx_log_cm * inv_z2,
-                -1j * dx_f_s * inv_z2,
-                -rm * inv_z2,
-            ]) / scale[:, None]
-            return np.concatenate([np.imag(dy), np.real(dy)])
-        inv_x2 = 1.0 / x_m**2
-        return np.column_stack([omega * c0, dx_log_cm * inv_x2, dx_f_s * inv_x2]) / scale[:, None]
+        def jacobian():
+            # x_m by log Cm is -x_m, and by the series resonance in Hz
+            dx_f_s = -2.0 * TWO_PI * omega / (omega_s**3 * cm)
+            if fit_rm:
+                # dY = -dZ/Z^2 for the motional branch Z = Rm + i x_m
+                inv_z2 = 1.0 / z_m**2
+                dy = np.column_stack([
+                    1j * omega * c0,
+                    -1j * -x_m * inv_z2,
+                    -1j * dx_f_s * inv_z2,
+                    -rm * inv_z2,
+                ]) / scale[:, None]
+                return np.concatenate([np.imag(dy), np.real(dy)])
+            inv_x2 = 1.0 / x_m**2
+            return np.column_stack([omega * c0, -x_m * inv_x2, dx_f_s * inv_x2]) / scale[:, None]
+
+        return residuals, jacobian
 
     theta0 = [math.log(guess.C0), math.log(guess.Cm), guess.series_resonance_hz]
     if fit_rm:
         # start at Q ~ 1e6, tiny next to the motional reactance scale
         theta0.append(math.log(1e-6 * guess.Lm * angular(guess.series_resonance_hz)))
-    result, _, _ = fit_least_squares(
-        "BVD", residuals, theta0, jac=jacobian, ftol=1e-14, xtol=1e-14, gtol=1e-14,
-        max_nfev=5000,
-    )
-    return unpack(result.x)
+    result, _, _ = fit_least_squares("BVD", model, theta0, tol=1e-14, max_nfev=5000)
+    c0, cm = np.exp(result.x[0]), np.exp(result.x[1])
+    lm = 1.0 / (angular(result.x[2]) ** 2 * cm)
+    return BvdParams(C0=c0, Cm=cm, Lm=lm, Rm=math.exp(result.x[3]) if fit_rm else 0.0)
 
 
 def coupling_rate_gsm(params: BvdParams, shunt: ShuntCircuit, f_m_hz: float | None = None) -> float:

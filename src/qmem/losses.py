@@ -271,15 +271,15 @@ _KERNELS = {
 }
 
 
-def _stack_plan(template: LossStack, names, f_hz: float, temperatures: np.ndarray):
-    """Q^-1 of the template's stack at packed parameters theta, evaluated
-    by the channel kernels on raw values: no channel or stack is built.
+def _stack_model(template: LossStack, names, f_hz: float, data: QvsTDataset):
+    """The stack fit's model of packed parameters theta: residuals on
+    log Q^-1, weighted by sigma_Q/Q, and their Jacobian, both from one run
+    of the channel kernels on raw values; no channel or stack is built.
 
-    Returns ``q_inverse(theta)``, which is None where ``_unpack`` would
-    fail (a negative bounded parameter, or a log parameter whose exp
-    overflows or underflows to 0), and ``gradient(theta)``, the summed
-    Q^-1 and its derivative by each packed parameter.  Each channel's
-    packed parameters are its fields in order, so they slice theta.
+    The residuals are infinite where ``_unpack`` would fail (a negative
+    bounded parameter, or a log parameter whose exp overflows or
+    underflows to 0).  Each channel's packed parameters are its fields in
+    order, so they slice theta.
     """
     scales = [getattr(template.channels[idx], attr) if kind == "log" else None
               for idx, attr, kind in names]
@@ -288,6 +288,9 @@ def _stack_plan(template: LossStack, names, f_hz: float, temperatures: np.ndarra
         stop = start + len(_LOG_PARAMS[type(ch)]) + len(_LINEAR_PARAMS[type(ch)])
         channels.append((*_KERNELS[type(ch)], start, stop))
         start = stop
+    temperatures = data.temperatures
+    log_qinv_data = -np.log(data.q_values)
+    sigma_log = data.sigma_q / data.q_values
 
     def values(theta):
         raw = []
@@ -304,26 +307,23 @@ def _stack_plan(template: LossStack, names, f_hz: float, temperatures: np.ndarra
             raw.append(value)
         return raw
 
-    @remember_last  # a Jacobian shares the kernel runs of its point's residuals
-    def parts(theta):
+    def model(theta):
         raw = values(theta)
         if raw is None:
-            return None, None
-        return raw, [kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels]
+            return np.full(len(data), np.inf), None
+        q_invs = [kernel(f_hz, temperatures, *raw[i:j]) for kernel, _, i, j in channels]
+        q_inv = sum(q_invs)
 
-    def q_inverse(theta):
-        q_invs = parts(theta)[1]
-        return None if q_invs is None else sum(q_invs)
+        def jacobian():
+            columns = [
+                column for (_, grad, i, j), channel_q_inv in zip(channels, q_invs)
+                for column in grad(f_hz, temperatures, channel_q_inv, *raw[i:j])
+            ]
+            return np.column_stack(columns) / (q_inv * sigma_log)[:, None]
 
-    def gradient(theta):
-        raw, q_invs = parts(theta)
-        columns = [
-            column for (_, grad, i, j), q_inv in zip(channels, q_invs)
-            for column in grad(f_hz, temperatures, q_inv, *raw[i:j])
-        ]
-        return sum(q_invs), columns
+        return (np.log(q_inv) - log_qinv_data) / sigma_log, jacobian
 
-    return q_inverse, gradient
+    return model
 
 
 @dataclass(frozen=True)
@@ -357,22 +357,10 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
             f"need at least {2 * n_params} points for {n_params} free parameters, "
             f"got {len(data)}"
         )
-    log_qinv_data = -np.log(data.q_values)
-    sigma_log = data.sigma_q / data.q_values
+    # the out-of-range check and the fit share the kernel runs at theta0
+    model = remember_last(_stack_model(template, names, f_hz, data))
 
-    q_inverse, gradient = _stack_plan(template, names, f_hz, data.temperatures)
-
-    def residuals(theta):
-        model = q_inverse(theta)
-        if model is None:
-            return np.full(len(data), np.inf)
-        return (np.log(model) - log_qinv_data) / sigma_log
-
-    def jacobian(theta):
-        model, columns = gradient(theta)
-        return np.column_stack(columns) / (model * sigma_log)[:, None]
-
-    if not np.isfinite(residuals(theta0)).all():
+    if not np.isfinite(model(theta0)[0]).all():
         culprits = [
             f"channel {idx} ({ch})" for idx, ch in enumerate(template.channels)
             if not np.isfinite(ch.q_inverse(f_hz, data.temperatures)).all()
@@ -383,10 +371,7 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
             + (", ".join(culprits) or "the summed Q^-1 is 0 or overflows")
         )
 
-    options = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
-    result, sigma_theta, sv = fit_least_squares(
-        "loss-stack", residuals, theta0, jac=jacobian, **options
-    )
+    result, sigma_theta, sv = fit_least_squares("loss-stack", model, theta0, tol=1e-15)
     theta, fun = result.x, result.fun
     # lm rejects each step below zero, so where the data want a negative
     # activation_temp or exponent it stalls short of the bound: hold each
@@ -400,17 +385,13 @@ def fit_loss_stack(data: QvsTDataset, f_hz: float, template: LossStack) -> LossS
             full[free] = phi
             return full
 
-        def held_residuals(phi):
-            return residuals(expand(phi))
+        def held_model(phi):
+            residuals, jacobian = model(expand(phi))
+            return residuals, lambda: jacobian()[:, free]
 
-        def held_jacobian(phi):
-            return jacobian(expand(phi))[:, free]
-
-        refit, _, _ = fit_least_squares(
-            "loss-stack", held_residuals, theta[free], jac=held_jacobian, **options
-        )
+        refit, _, _ = fit_least_squares("loss-stack", held_model, theta[free], tol=1e-15)
         theta, fun = expand(refit.x), refit.fun
-        sigma_theta, sv = parameter_uncertainties(jacobian(theta), fun)
+        sigma_theta, sv = parameter_uncertainties(model(theta)[1](), fun)
     if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-10:
         raise DegenerateJacobian("loss-stack template parameters are not identifiable")
 

@@ -245,6 +245,31 @@ def test_bvd_fit_round_trip(capsys, tmp_path):
     assert payload["f_series_Hz"] == pytest.approx(98.5e6, abs=0.2e6)
 
 
+def test_bvd_fit_with_motional_resistance(capsys, tmp_path):
+    # the lossy trace of test_fit_bvd_lossy_round_trip, Q near 6.8e5
+    from qmem.core import FrequencyTrace
+    from qmem.electromech import BvdParams, bvd_admittance, save_admittance_csv
+
+    params = BvdParams(C0=8.96e-16, Cm=1.38e-19, Lm=18.9, Rm=17.2e3)
+    f = np.linspace(98.49e6, 98.61e6, 801)
+    path, out = tmp_path / "bvd.csv", tmp_path / "model.csv"
+    save_admittance_csv(path, FrequencyTrace(f, bvd_admittance(params, f)))
+    payload = run_json(capsys, "bvd-fit", str(path), "--fit-rm", "--out", str(out))
+    assert payload["Rm_Ohm"] == pytest.approx(params.Rm, rel=1e-6, abs=0)
+    assert payload["C0_F"] == pytest.approx(params.C0, rel=1e-6, abs=0)
+    assert payload["Cm_F"] == pytest.approx(params.Cm, rel=1e-6, abs=0)
+    assert payload["Lm_H"] == pytest.approx(params.Lm, rel=1e-6, abs=0)
+    with open(out) as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["f_Hz", "ReY_S", "ImY_S"]
+    f_out, re_y, im_y = np.array(rows, dtype=float).T
+    # the model of the reported parameters, sampled on the trace
+    fitted = BvdParams(payload["C0_F"], payload["Cm_F"], payload["Lm_H"], payload["Rm_Ohm"])
+    model = bvd_admittance(fitted, f)
+    assert np.array_equal(f_out, f)
+    assert np.array_equal(re_y, model.real) and np.array_equal(im_y, model.imag)
+
+
 def test_qvt_fit(capsys, tmp_path, data_dir):
     from qmem.losses import (
         ConstantChannel, LossStack, PowerLawChannel, ZenerChannel, total_q,
@@ -383,6 +408,19 @@ def test_bandgap_defaults(capsys):
     assert gap[0] == pytest.approx(90e6, rel=1e-3)
     assert gap[1] == pytest.approx(110e6, rel=1e-3)
     assert payload["defect_mode"]["frequency_Hz"] == pytest.approx(97.2e6, rel=5e-3)
+
+
+# the = form, since argparse reads a bare -inf as an option
+@pytest.mark.parametrize("argv, option", [
+    (["--f-max=inf"], "--f-max"),
+    (["--f-min=-inf"], "--f-min"),
+    (["--resolution=nan"], "--resolution"),
+])
+def test_bandgap_rejects_a_non_finite_window(capsys, argv, option):
+    code, out, err = run_cli(capsys, "bandgap", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"error: {option} must be finite" in err
 
 
 def test_strong_mirrors_honour_f_center(capsys, tmp_path, data_dir):

@@ -120,8 +120,8 @@ def test_time_trace_validation():
 
 
 class _Problem(Exception):
-    """Raised in place of the helper, with its (name, residuals, theta0)
-    as ``args`` and its keyword options."""
+    """Raised in place of the helper, with its (name, model, theta0) as
+    ``args`` and its keyword options."""
 
     def __init__(self, *args, **options):
         super().__init__(*args)
@@ -129,7 +129,7 @@ class _Problem(Exception):
 
 
 def _problem(module, fit, *args, **kwargs):
-    """The (name, residuals, theta0) and options ``fit`` hands the helper."""
+    """The (name, model, theta0) and options ``fit`` hands the helper."""
 
     def record(*args, **options):
         raise _Problem(*args, **options)
@@ -184,9 +184,14 @@ def test_fit_helper_matches_least_squares_lm(fit_problems):
     from scipy.optimize import least_squares
 
     for problem in fit_problems:
-        name, residuals, theta0 = problem.args
-        result, sigma, _ = fit_least_squares(name, residuals, theta0, **problem.options)
-        oracle = least_squares(residuals, theta0, method="lm", x_scale="jac", **problem.options)
+        name, model, theta0 = problem.args
+        result, sigma, _ = fit_least_squares(name, model, theta0, **problem.options)
+        options = dict(problem.options)
+        tol = options.pop("tol")
+        oracle = least_squares(
+            lambda theta: model(theta)[0], theta0, jac=lambda theta: model(theta)[1](),
+            method="lm", x_scale="jac", ftol=tol, xtol=tol, gtol=tol, **options,
+        )
         assert oracle.success, name
         for field in ("x", "fun", "jac"):
             assert np.array_equal(result[field], oracle[field]), (name, field)
@@ -198,19 +203,19 @@ def test_fit_helper_matches_least_squares_lm(fit_problems):
 
 def test_fit_helper_names_the_fit_when_out_of_evaluations(fit_problems):
     for problem in fit_problems:
-        name, residuals, theta0 = problem.args
+        name, model, theta0 = problem.args
         options = dict(problem.options, max_nfev=1)
         with pytest.raises(FitDidNotConverge, match=f"^{name} fit failed: ") as info:
-            fit_least_squares(name, residuals, theta0, **options)
+            fit_least_squares(name, model, theta0, **options)
         assert "\n" not in str(info.value)
 
 
 def test_fit_helper_rejects_a_non_finite_initial_point():
-    def residuals(theta):
-        return np.array([np.inf, 1.0, 2.0]) * theta[0]
+    def model(theta):
+        return np.array([np.inf, 1.0, 2.0]) * theta[0], lambda: np.ones((3, 1))
 
     with pytest.raises(ValueError, match="ringdown fit"):
-        fit_least_squares("ringdown", residuals, [1.0], jac=lambda theta: np.ones((3, 1)))
+        fit_least_squares("ringdown", model, [1.0], tol=1e-8)
 
 
 def _held_refit_problem():
@@ -238,12 +243,21 @@ def _held_refit_problem():
     return info.value
 
 
-def _counted(fn, thetas):
-    """``fn`` appending a copy of each theta it is called with to ``thetas``."""
+def _counted(model, model_thetas, jacobian_thetas):
+    """``model`` appending a copy of each theta it is called with to
+    ``model_thetas``, and of each theta whose Jacobian is taken to
+    ``jacobian_thetas``."""
 
     def counted(theta):
-        thetas.append(np.array(theta, dtype=float))
-        return fn(theta)
+        theta = np.array(theta, dtype=float)
+        model_thetas.append(theta)
+        residuals, jacobian = model(theta)
+
+        def counted_jacobian():
+            jacobian_thetas.append(theta)
+            return jacobian()
+
+        return residuals, counted_jacobian
 
     return counted
 
@@ -252,22 +266,22 @@ def test_each_trial_point_is_evaluated_once(fit_problems):
     # the finiteness check, leastsq's shape checks and MINPACK share the
     # evaluations at theta0, so the calls match MINPACK's own counts
     for problem in [*fit_problems, _held_refit_problem()]:
-        name, residuals, theta0 = problem.args
-        residual_thetas, jacobian_thetas = [], []
-        options = dict(problem.options, jac=_counted(problem.options["jac"], jacobian_thetas))
-        result, _, _ = fit_least_squares(name, _counted(residuals, residual_thetas), theta0, **options)
+        name, model, theta0 = problem.args
+        model_thetas, jacobian_thetas = [], []
+        counted = _counted(model, model_thetas, jacobian_thetas)
+        result, _, _ = fit_least_squares(name, counted, theta0, **problem.options)
         start = np.asarray(theta0, dtype=float).tobytes()
-        assert [theta.tobytes() for theta in residual_thetas].count(start) == 1, name
-        assert len(residual_thetas) <= result.nfev, name
+        assert [theta.tobytes() for theta in model_thetas].count(start) == 1, name
+        assert len(model_thetas) <= result.nfev, name
         assert len(jacobian_thetas) <= result.njev + 1, name
 
 
 def test_remembered_evaluations_change_no_fit(fit_problems):
     # every fit, the held refit too, evaluated afresh at each call of its
-    # residuals, Jacobian and shared intermediates gives the same result
+    # model and Jacobian gives the same result
     problems = [*fit_problems, _held_refit_problem()]
     with contextlib.ExitStack() as patches:
-        for module in (core, analysis, losses):
+        for module in (core, losses):
             patches.enter_context(mock.patch.object(module, "remember_last", lambda fn: fn))
         afresh = [fit_least_squares(*p.args, **p.options) for p in [*_fit_problems(), _held_refit_problem()]]
     for problem, (plain, plain_sigma, plain_sv) in zip(problems, afresh):

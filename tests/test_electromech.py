@@ -33,7 +33,7 @@ def synthetic_trace(params, f_lo=90e6, f_hi=108e6, n=201, noise=0.0, seed=0):
 def test_series_resonance_of_paper_parameters(paper_bvd):
     assert paper_bvd.series_resonance_hz == pytest.approx(98.5484e6, abs=0.2e6)
     ratio = paper_bvd.parallel_resonance_hz / paper_bvd.series_resonance_hz
-    assert ratio - 1.0 == pytest.approx(7.7e-5, rel=1e-2)
+    assert ratio - 1.0 == pytest.approx(7.7e-5, rel=1e-2, abs=0)
 
 
 def test_admittance_static_limit(paper_bvd):
@@ -41,7 +41,7 @@ def test_admittance_static_limit(paper_bvd):
     tiny = BvdParams(C0=paper_bvd.C0, Cm=1e-30, Lm=paper_bvd.Lm)
     f = 100e6
     y = bvd_admittance(tiny, f)
-    assert y == pytest.approx(1j * angular(f) * tiny.C0, rel=1e-9)
+    assert y == pytest.approx(1j * angular(f) * tiny.C0, rel=1e-9, abs=0)
 
 
 def test_admittance_sign_structure(paper_bvd):
@@ -78,16 +78,16 @@ def test_admittance_pole_sentinel():
 
 def test_fit_bvd_noiseless_round_trip(paper_bvd):
     fitted = fit_bvd(synthetic_trace(paper_bvd))
-    assert fitted.C0 == pytest.approx(paper_bvd.C0, rel=1e-3)
-    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=1e-3)
-    assert fitted.Lm == pytest.approx(paper_bvd.Lm, rel=1e-3)
+    assert fitted.C0 == pytest.approx(paper_bvd.C0, rel=1e-3, abs=0)
+    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=1e-3, abs=0)
+    assert fitted.Lm == pytest.approx(paper_bvd.Lm, rel=1e-3, abs=0)
 
 
 def test_fit_bvd_with_multiplicative_noise(paper_bvd):
     fitted = fit_bvd(synthetic_trace(paper_bvd, n=801, noise=1e-3, seed=42))
-    assert fitted.C0 == pytest.approx(paper_bvd.C0, rel=5e-3)
-    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=5e-3)
-    assert fitted.Lm == pytest.approx(paper_bvd.Lm, rel=5e-3)
+    assert fitted.C0 == pytest.approx(paper_bvd.C0, rel=5e-3, abs=0)
+    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=5e-3, abs=0)
+    assert fitted.Lm == pytest.approx(paper_bvd.Lm, rel=5e-3, abs=0)
 
 
 def test_fit_bvd_flat_trace_raises():
@@ -108,17 +108,17 @@ def test_fit_bvd_lossy_round_trip(paper_bvd):
     f = np.linspace(98.49e6, 98.61e6, 801)
     trace = FrequencyTrace(f, bvd_admittance(lossy, f))
     fitted = fit_bvd(trace, fit_rm=True)
-    assert fitted.C0 == pytest.approx(lossy.C0, rel=1e-6)
-    assert fitted.Cm == pytest.approx(lossy.Cm, rel=1e-6)
-    assert fitted.Lm == pytest.approx(lossy.Lm, rel=1e-6)
-    assert fitted.Rm == pytest.approx(lossy.Rm, rel=1e-6)
+    assert fitted.C0 == pytest.approx(lossy.C0, rel=1e-6, abs=0)
+    assert fitted.Cm == pytest.approx(lossy.Cm, rel=1e-6, abs=0)
+    assert fitted.Lm == pytest.approx(lossy.Lm, rel=1e-6, abs=0)
+    assert fitted.Rm == pytest.approx(lossy.Rm, rel=1e-6, abs=0)
 
 
 def test_fit_bvd_lossless_rm_consistent_with_zero(paper_bvd):
     fitted = fit_bvd(synthetic_trace(paper_bvd), fit_rm=True)
     scale = fitted.Lm * angular(fitted.series_resonance_hz)
     assert fitted.Rm < 1e-3 * scale / 1e5  # tiny next to any plausible Q
-    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=1e-3)
+    assert fitted.Cm == pytest.approx(paper_bvd.Cm, rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("fit_rm", [False, True])
@@ -134,23 +134,23 @@ def test_fit_bvd_amplitude_rescaling_covariance(paper_bvd, s, fit_rm):
         trace = synthetic_trace(paper_bvd, n=801, noise=1e-3, seed=42)
     fit = fit_bvd(trace, fit_rm=fit_rm)
     scaled = fit_bvd(FrequencyTrace(trace.frequencies, s * trace.response), fit_rm=fit_rm)
-    assert scaled.C0 == pytest.approx(s * fit.C0, rel=1e-9)
-    assert scaled.Cm == pytest.approx(s * fit.Cm, rel=1e-9)
-    assert scaled.Lm == pytest.approx(fit.Lm / s, rel=1e-9)
-    assert scaled.Rm == pytest.approx(fit.Rm / s, rel=1e-9)
+    assert scaled.C0 == pytest.approx(s * fit.C0, rel=1e-9, abs=0)
+    assert scaled.Cm == pytest.approx(s * fit.Cm, rel=1e-9, abs=0)
+    assert scaled.Lm == pytest.approx(fit.Lm / s, rel=1e-9, abs=0)
+    assert scaled.Rm == pytest.approx(fit.Rm / s, rel=1e-9, abs=0)
 
 
 def test_coupling_rate_fluxonium(paper_bvd, fluxonium_shunt):
     g = coupling_rate_gsm(paper_bvd, fluxonium_shunt)
     assert 100e3 < g < 110e3
-    assert g == pytest.approx(104.9e3, rel=1e-3)
+    assert g == pytest.approx(104.9e3, rel=1e-3, abs=0)
 
 
 def test_coupling_rate_snail(paper_bvd, snail_shunt):
-    assert snail_shunt.f_r == pytest.approx(1.1397e9, rel=1e-4)
+    assert snail_shunt.f_r == pytest.approx(1.1397e9, rel=1e-4, abs=0)
     g = coupling_rate_gsm(paper_bvd, snail_shunt)
     assert 114e3 < g < 126e3
-    assert g == pytest.approx(121.9e3, rel=1e-3)
+    assert g == pytest.approx(121.9e3, rel=1e-3, abs=0)
 
 
 def test_coupling_rate_zero_motional_capacitance(fluxonium_shunt):
@@ -179,12 +179,12 @@ def test_gij_zero_and_symmetry():
     assert coupling_rate_gij(1e-13, 1e-13, 0.0, 1e9, 1e8) == 0.0
     a = coupling_rate_gij(2e-13, 5e-13, 3e-14, 1.3e9, 0.9e8)
     b = coupling_rate_gij(5e-13, 2e-13, 3e-14, 0.9e8, 1.3e9)
-    assert a == pytest.approx(b, rel=1e-12)
+    assert a == pytest.approx(b, rel=1e-12, abs=0)
 
 
 def test_gij_algebraic_point():
     c, f = 1e-13, 2e8
-    assert coupling_rate_gij(c, c, c, f, f) == pytest.approx(f / 4.0, rel=1e-12)
+    assert coupling_rate_gij(c, c, c, f, f) == pytest.approx(f / 4.0, rel=1e-12, abs=0)
 
 
 def test_lc_mapping_reproduces_shunt_coupling(paper_bvd, snail_shunt):
@@ -193,13 +193,13 @@ def test_lc_mapping_reproduces_shunt_coupling(paper_bvd, snail_shunt):
         snail_shunt.Cr, cj, cij, snail_shunt.f_r, paper_bvd.series_resonance_hz
     )
     direct = coupling_rate_gsm(paper_bvd, snail_shunt)
-    assert via_map == pytest.approx(direct, rel=1e-2)
+    assert via_map == pytest.approx(direct, rel=1e-2, abs=0)
     # the mapped network preserves both port frequencies: its zero is the
     # series resonance, its pole the antiresonance
     f_zero = 1.0 / (2 * math.pi * math.sqrt(lj * (cj + cij)))
     f_pole = 1.0 / (2 * math.pi * math.sqrt(lj * cj))
-    assert f_zero == pytest.approx(paper_bvd.series_resonance_hz, rel=1e-12)
-    assert f_pole == pytest.approx(paper_bvd.parallel_resonance_hz, rel=1e-12)
+    assert f_zero == pytest.approx(paper_bvd.series_resonance_hz, rel=1e-12, abs=0)
+    assert f_pole == pytest.approx(paper_bvd.parallel_resonance_hz, rel=1e-12, abs=0)
 
 
 def test_scale_defects_identity(paper_bvd):
@@ -209,10 +209,10 @@ def test_scale_defects_identity(paper_bvd):
 def test_scale_defects_preserves_mode_frequency(paper_bvd):
     scaled = scale_defects(paper_bvd, DefectArraySpec(10))
     assert scaled.series_resonance_hz == pytest.approx(
-        paper_bvd.series_resonance_hz, rel=1e-12
+        paper_bvd.series_resonance_hz, rel=1e-12, abs=0
     )
-    assert scaled.Cm == pytest.approx(10 * paper_bvd.Cm)
-    assert scaled.C0 == pytest.approx(10 * paper_bvd.C0)
+    assert scaled.Cm == pytest.approx(10 * paper_bvd.Cm, abs=0)
+    assert scaled.C0 == pytest.approx(10 * paper_bvd.C0, abs=0)
 
 
 def test_scale_defects_ten_cell_coupling(paper_bvd, fluxonium_shunt):
@@ -223,9 +223,9 @@ def test_scale_defects_ten_cell_coupling(paper_bvd, fluxonium_shunt):
         g10 = coupling_rate_gsm(scaled, fluxonium_shunt, paper_bvd.series_resonance_hz)
     estimate = math.sqrt(10) * g1  # ~329 kHz, ignores the C0 growth
     simulated = 290e3  # full-geometry reference value for ten defects
-    assert estimate == pytest.approx(simulated, rel=0.15)
+    assert estimate == pytest.approx(simulated, rel=0.15, abs=0)
     assert estimate > simulated
-    assert g10 == pytest.approx(simulated, rel=0.05)
+    assert g10 == pytest.approx(simulated, rel=0.05, abs=0)
 
 
 def test_admittance_csv_round_trip(paper_bvd, tmp_path):

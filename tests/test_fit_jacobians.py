@@ -1,7 +1,7 @@
 """Each fit's exact Jacobian against a central difference of its residuals.
 
 The fit is run up to its call of ``fit_least_squares``, which is replaced
-by a recorder, so the test sees the residual and Jacobian functions the
+by a recorder, so the test sees the model whose residual and Jacobian the
 solver would get.  Both are evaluated at drawn parameter vectors, and each
 Jacobian column must match the central difference to ``RTOL`` of its norm,
 plus a float-noise floor of ``FLOOR`` of the whole Jacobian's norm for
@@ -32,10 +32,11 @@ class _Captured(Exception):
 
 
 def _capture(module, fit, *args, **kwargs) -> _Captured:
-    """The residual and Jacobian functions ``fit`` hands the helper."""
+    """The residual and Jacobian functions of the model ``fit`` hands the
+    helper."""
 
-    def record(name, residuals, theta0, *, jac, **options):
-        raise _Captured(residuals, jac)
+    def record(name, model, theta0, **options):
+        raise _Captured(lambda theta: model(theta)[0], lambda theta: model(theta)[1]())
 
     with mock.patch.object(module, "fit_least_squares", record):
         try:

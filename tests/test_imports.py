@@ -131,9 +131,10 @@ def test_every_fit_passes_the_helper_an_exact_jacobian():
     ]
     assert {(module, owner) for module, owner, _ in calls} == FITS
     for module, owner, call in calls:
-        jac = [kw.value for kw in call.keywords if kw.arg == "jac"]
-        # a function, not a finite-difference scheme such as "2-point"
-        assert len(jac) == 1 and isinstance(jac[0], ast.Name), (module, owner)
+        # a named model, whose Jacobian comes with its residuals, and no
+        # separate Jacobian or finite-difference scheme such as "2-point"
+        assert isinstance(call.args[1], ast.Name), (module, owner)
+        assert "jac" not in {kw.arg for kw in call.keywords}, (module, owner)
 
 
 def test_no_module_calls_kron():

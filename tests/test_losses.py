@@ -397,13 +397,13 @@ def test_unpack_matches_per_parameter_replace(monkeypatch):
 
 
 def _stack_residuals(data, f_hz, template):
-    """The residual function ``fit_loss_stack`` hands the fit helper."""
+    """The residuals of the model ``fit_loss_stack`` hands the fit helper."""
 
     class Captured(Exception):
         pass
 
-    def record(name, residuals, theta0, **options):
-        raise Captured(residuals)
+    def record(name, model, theta0, **options):
+        raise Captured(lambda theta: model(theta)[0])
 
     with mock.patch.object(losses, "fit_least_squares", record):
         with pytest.raises(Captured) as info:
