@@ -388,7 +388,7 @@ def cmd_couple(args) -> tuple[dict, list | None]:
 
 
 def cmd_iswap(args) -> tuple[dict, list | None]:
-    if args.d_m > 100:  # |e,0> reaches 3 states, but the closure spans all 2 d_m
+    if args.d_m > 100:  # |e,0> evolves on 3 levels, but H and the states are 2 d_m square
         raise ConfigError(f"--d-m must be at most 100, got {args.d_m}")
     config = load_config(args.config)
     from . import dynamics
@@ -459,6 +459,8 @@ def cmd_ringdown(args) -> tuple[dict, list | None]:
 
 
 def cmd_qvt(args) -> tuple[dict, list | None]:
+    if not (math.isfinite(args.frequency_hz) and args.frequency_hz > 0.0):
+        raise ConfigError(f"--frequency-hz must be finite and positive, got {args.frequency_hz}")
     config = load_config(args.config)
     from . import losses
     template = _loss_stack_from(config)
@@ -509,6 +511,9 @@ def _duffing_from(config: dict) -> duffing.DuffingParams:
 def cmd_duffing_sweep(args) -> tuple[dict, list | None]:
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
+    for option, value in (("--f-start", args.f_start), ("--f-end", args.f_end)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value}")
     config = load_config(args.config)
     from . import duffing
     params = _duffing_from(config)

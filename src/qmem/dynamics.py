@@ -261,13 +261,6 @@ def _levels(dims: tuple[int, ...], which: int) -> np.ndarray:
     return (np.arange(math.prod(dims)) // math.prod(dims[which + 1:])) % dims[which]
 
 
-def _lowering(dims: tuple[int, ...], which: int) -> np.ndarray:
-    """Lowering operator of mode ``which`` on the product space of ``dims``, last
-    mode fastest: <i| a |i + stride> = sqrt(that mode's level in i + stride)."""
-    stride = math.prod(dims[which + 1:])
-    return np.diag(np.sqrt(_levels(dims, which)[stride:]), stride)
-
-
 def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> np.ndarray:
     """Rotating-frame Hamiltonian H/h in Hz on qubit (x) mech (x mixer).
 
@@ -367,13 +360,34 @@ class EvolutionResult:
     snapshots: np.ndarray  # (n_records, d, d) complex
 
 
-def _jump_operators(dims, decay: list, dephase: list) -> list:
-    """(rate, C) pairs of the dissipators rate * D[C]: lowering operators
-    at the decay rates and number operators at twice the dephasing rates,
-    so that coherences decay at the stated rate.  Zero rates are dropped."""
-    lowering = [_lowering(dims, k) for k in range(len(dims))]
-    return ([(g, a) for g, a in zip(decay, lowering) if g > 0.0]
-            + [(2.0 * g, a.T @ a) for g, a in zip(dephase, lowering) if g > 0.0])
+def _reached_levels(rho0: np.ndarray, h_hz: np.ndarray, dims: tuple[int, ...],
+                    decay: list, dephase: list) -> tuple[np.ndarray, list]:
+    """(idx, jumps): the levels idx that rho0's support reaches through the
+    pattern of H and the lowering stride of each mode with a nonzero decay
+    rate, which H and every C map into themselves, and the dissipators
+    rate * D[C] on them as (rate, C) pairs: lowering operators at the decay
+    rates, <i| a |i + stride> = sqrt(that mode's level in i + stride), last
+    mode fastest, and number operators at twice the dephasing rates, so that
+    coherences decay at the stated rate.  Zero rates are dropped."""
+    modes = [(g, gd, _levels(dims, k), math.prod(dims[k + 1:]))
+             for k, (g, gd) in enumerate(zip(decay, dephase)) if g > 0.0 or gd > 0.0]
+    reached = rho0.any(axis=0) | rho0.any(axis=1)
+    while True:
+        grown = reached | (h_hz[reached] != 0).any(axis=0)
+        for g, _, level, stride in modes:
+            if g > 0.0:
+                grown[:-stride] |= grown[stride:] & (level[stride:] > 0)
+        if (grown == reached).all():
+            break
+        reached = grown
+    idx = np.flatnonzero(reached)
+    roots = [np.sqrt(level[idx]) for _, _, level, _ in modes]
+    lowering = [(g, root * (idx[:, None] + stride == idx))
+                for root, (g, _, _, stride) in zip(roots, modes) if g > 0.0]
+    # a^dag a, each diagonal entry the square of a's entry
+    number = [(2.0 * gd, np.diag(root * root))
+              for root, (_, gd, _, _) in zip(roots, modes) if gd > 0.0]
+    return idx, lowering + number
 
 
 def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
@@ -392,7 +406,9 @@ def _restrict(rho0: np.ndarray, h_hz: np.ndarray, jumps):
     coordinates x = Re rho[a, b] for a <= b, Im rho[a, b] for a > b it is
     the real B L A, with A mapping x to the entries and B back (Breuer &
     Petruccione sec. 3.2).  Under the RWA Hamiltonian R keeps the excitation
-    number differences of ``rho0``'s entries; a dense H reaches every entry."""
+    number differences of ``rho0``'s entries; a dense H reaches every entry.
+    ``evolve`` and ``iswap`` pass the block of rho0, H and the C on the
+    levels of ``_reached_levels``, so a and b index that block."""
     k = -1j * TWO_PI * h_hz - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in jumps)
     eye = np.eye(len(h_hz))
     terms = [(k, eye), (eye, k.conj())] + [(rate * op, op.conj()) for rate, op in jumps]
@@ -419,8 +435,8 @@ def _entries(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _propagate(a: np.ndarray, b: np.ndarray, generator: np.ndarray,
                rho0: np.ndarray, duration: float, n_records: int):
     """(times, records, final): the real coordinates of rho[a, b] at
-    linspace(0, duration, n_records), one row per record, and the
-    full-space state at ``duration``, from ``_restrict``'s entries and
+    linspace(0, duration, n_records), one row per record, and the state
+    at ``duration`` on the levels of ``rho0``, from ``_restrict``'s entries and
     generator G.  Record k is P^k x0 with P = exp(G dt), so the final
     state is the last of two or more records, and exp(G duration) x0
     otherwise; ``ValueError`` if the coordinates leave the float range."""
@@ -481,8 +497,12 @@ def evolve(
     state is propagated exactly, x(t) = exp(G t) x0, on the real
     coordinates x of the m entries of rho that the evolution reaches
     from rho0, where G is a real m x m matrix (``_restrict``); every
-    other entry stays zero.  H must be Hermitian within 1e-10 of its
-    norm, else ``ValueError``.
+    other entry stays zero.  Those entries lie on the levels that rho0's
+    support reaches through H and the lowering operators
+    (``_reached_levels``): the closure, the dissipators and the generator
+    are built on that block, and the full-space states are written once,
+    on return.  H must be Hermitian within 1e-10 of its norm, else
+    ``ValueError``.
 
     ``snapshots`` holds exactly ``n_records`` states at
     linspace(0, duration, n_records); ``final`` is always the state at
@@ -504,11 +524,15 @@ def evolve(
     if np.linalg.norm(h_hz - h_hz.conj().T) > 1e-10 * np.linalg.norm(h_hz):
         raise ValueError("Hamiltonian is not Hermitian within 1e-10 of its norm")
 
-    a, b, generator = _restrict(rho0.matrix, h_hz, _jump_operators(dims, decay, dephase))
-    times, records, final = _propagate(a, b, generator, rho0.matrix, duration, n_records)
-    snapshots = np.zeros((n_records,) + final.shape, dtype=complex)
-    snapshots[:, a, b] = _entries(a, b, records)
-    return EvolutionResult(final=DensityMatrix(dims, final), times=times, snapshots=snapshots)
+    idx, jumps = _reached_levels(rho0.matrix, h_hz, dims, decay, dephase)
+    block = np.ix_(idx, idx)
+    a, b, generator = _restrict(rho0.matrix[block], h_hz[block], jumps)
+    times, records, final = _propagate(a, b, generator, rho0.matrix[block], duration, n_records)
+    state = np.zeros_like(h_hz)
+    state[block] = final
+    snapshots = np.zeros((n_records,) + state.shape, dtype=complex)
+    snapshots[:, idx[a], idx[b]] = _entries(a, b, records)
+    return EvolutionResult(final=DensityMatrix(dims, state), times=times, snapshots=snapshots)
 
 
 @dataclass(frozen=True)
@@ -581,10 +605,12 @@ def iswap(
     reported fidelity compares against the dissipation-free evolution of
     the same initial state (which must be pure).
 
-    When every rate is zero (``dissipation=False``, or all rates 0) the
-    gate builds no Liouvillian and imports no scipy: on the n levels that
-    rho0's support reaches through the pattern of H, H = B diag(E) B^dag
-    once, and rho(t) = B (rho~0 o exp(-2 pi i (E_k - E_l) t)) B^dag with
+    Both branches evolve on the n levels that ``_reached_levels`` finds
+    (|g,0>, |e,0> and |g,1> for |e,0> at any cutoff) and write the d x d
+    gate-time state once, on return.  When every rate is zero
+    (``dissipation=False``, or all rates 0) the gate builds no Liouvillian
+    and imports no scipy: H = B diag(E) B^dag on the n levels once, and
+    rho(t) = B (rho~0 o exp(-2 pi i (E_k - E_l) t)) B^dag with
     rho~0 = B^dag rho0 B.  With dissipators the gate-time state is the
     record whose time equals the gate time within 2 ulp (record 800 of
     the default grid), and a second exponential only when none does.
@@ -630,67 +656,61 @@ def iswap(
     window = max(gate_time, 1.25 / (4.0 * eff.g_eff))
     levels = np.ravel_multi_index(([1, 0], [0, 1]), dims)  # |e,0> and |g,1>
     pure = rho0.purity > 1.0 - 1e-6
-    if any(decay + dephasing):
-        a, b, generator = _restrict(rho0.matrix, h, _jump_operators(dims, decay, dephasing))
-        times, records, _ = _propagate(a, b, generator, rho0.matrix, window, n_records)
+    idx, jumps = _reached_levels(rho0.matrix, h, dims, decay, dephasing)
+    block = np.ix_(idx, idx)
+    rho_block, h_block = rho0.matrix[block], h[block]
+    if jumps:
+        a, b, generator = _restrict(rho_block, h_block, jumps)
+        times, records, _ = _propagate(a, b, generator, rho_block, window, n_records)
         # populations from the diagonal coordinates, zero where never reached
-        pop_e0, pop_g1 = (records[:, (a == k) & (b == k)].sum(axis=1) for k in levels)
+        pop_e0, pop_g1 = (records[:, (idx[a] == k) & (idx[b] == k)].sum(axis=1) for k in levels)
         # the state at the gate time is the record at that time when the grid
         # holds it, and one more exponential otherwise
         on_grid = np.flatnonzero(np.abs(times - gate_time) <= 2.0 * np.spacing(gate_time))
         if on_grid.size:
-            final = _state(a, b, records[on_grid[0]], len(h))
+            final = _state(a, b, records[on_grid[0]], len(idx))
         else:
-            final = _propagate(a, b, generator, rho0.matrix, gate_time, 0)[2]
+            final = _propagate(a, b, generator, rho_block, gate_time, 0)[2]
         if pure:
-            # the ideal unitary evolution of a pure rho0 stays on the states
-            # idx that the reached entries touch, which H maps into themselves
-            idx = np.union1d(a, b)
-            block = np.ix_(idx, idx)
-            psi0 = np.linalg.eigh(rho0.matrix[block])[1][:, -1]
-            basis, phases = _unitary(h[block], np.append(times, gate_time))
+            # the ideal unitary evolution of a pure rho0 stays on idx too
+            psi0 = np.linalg.eigh(rho_block)[1][:, -1]
+            basis, phases = _unitary(h_block, np.append(times, gate_time))
             ideal = (phases * (basis.conj().T @ psi0)) @ basis.T
             # <ideal| rho |ideal> = sum over a <= b of (2 - [a = b]) Re(z rho[a, b])
             # with z = conj(ideal[a]) ideal[b], that is Re z x_ab + Im z x_ba
             up = np.flatnonzero(a <= b)
-            z = ideal[:-1, np.searchsorted(idx, a[up])].conj()
-            z *= ideal[:-1, np.searchsorted(idx, b[up])]
+            z = ideal[:-1, a[up]].conj()
+            z *= ideal[:-1, b[up]]
             z.real *= records[:, up]
             z.imag *= records[:, np.lexsort((a, b))[up]]
             fidelity = (z.real + z.imag) @ np.where(a[up] < b[up], 2.0, 1.0)
-            swap_fidelity = float(np.real(ideal[-1].conj() @ final[block] @ ideal[-1]))
+            swap_fidelity = float(np.real(ideal[-1].conj() @ final @ ideal[-1]))
     else:
-        # no dissipator: rho(t) = U rho0 U^dag on the levels that rho0's
-        # support reaches through the pattern of H, which H maps into themselves
-        reached = rho0.matrix.any(axis=0) | rho0.matrix.any(axis=1)
-        pattern = h != 0
-        while not np.array_equal(reached, grown := reached | pattern[reached].any(axis=0)):
-            reached = grown
-        idx = np.flatnonzero(reached)
-        block = np.ix_(idx, idx)
+        # no dissipator: rho(t) = U rho0 U^dag on idx, which H maps into itself
         times = np.linspace(0.0, window, n_records)
-        basis, phases = _unitary(h[block], np.append(times, gate_time))
-        rotated = basis.conj().T @ rho0.matrix[block] @ basis
-        # B's rows on the full space, zero at the levels never reached
-        rows = np.zeros((len(h), len(idx)), dtype=complex)
-        rows[idx] = basis
+        basis, phases = _unitary(h_block, np.append(times, gate_time))
+        rotated = basis.conj().T @ rho_block @ basis
+        # B's rows at |e,0> and |g,1>, zero at a level never reached
+        rows = (idx == levels[:, None]) @ basis
         # rho(t)[i, i] = P[t] c_i P[t]^dag with c_i[k, l] = B[i, k] rho~0[k, l] conj(B[i, l])
-        c = rows[levels, :, None] * rotated * rows[levels, None, :].conj()
+        c = rows[:, :, None] * rotated * rows[:, None, :].conj()
         pop_e0, pop_g1 = ((phases[:-1] @ c) * phases[:-1].conj()).sum(axis=-1).real
-        w = rows * phases[-1]
+        w = basis * phases[-1]
         final = w @ rotated @ w.conj().T
         final = 0.5 * (final + final.conj().T)  # exactly Hermitian
         if pure:
             # the state never leaves the ideal evolution, so the fidelity is
             # <psi0| rho0 |psi0>, rho0's largest eigenvalue, at every record
-            swap_fidelity = float(np.linalg.eigvalsh(rho0.matrix[block])[-1])
+            swap_fidelity = float(np.linalg.eigvalsh(rho_block)[-1])
             fidelity = np.full(len(times), swap_fidelity)
     if not pure:
         fidelity, swap_fidelity = np.full(len(times), np.nan), math.nan
     transfer_time = _first_maximum(times, pop_g1)
 
     # state and populations are reported at the gate time itself
-    rho_final = DensityMatrix(dims, final)
+    state = np.zeros_like(h)
+    state[block] = final
+    rho_final = DensityMatrix(dims, state)
     populations = _populations(rho_final)
 
     return IswapResult(

@@ -35,6 +35,8 @@ from .errors import ChainMatrixOverflow, LinewidthNotResolved, NoDefectModeInGap
 
 # samples of the resonance residual across a gap when bracketing modes
 MODE_SCAN_POINTS = 4001
+# most samples of a band-gap scan: 80 MB per float array
+MAX_SCAN_POINTS = 10**7
 # field samples per segment in mode_profile
 PROFILE_SAMPLES_PER_SEGMENT = 8
 # brentq tolerance of the mode root and half-maximum edges, as a fraction
@@ -160,15 +162,20 @@ def find_band_gaps(cell: UnitCell, f_min: float, f_max: float, resolution: float
     Gap edges are refined by bisection to better than 1e-6 relative
     tolerance.  A gap narrower than ``resolution`` is found only if a
     scan sample happens to fall inside it; gaps extending past the scan
-    window are clipped to it.
+    window are clipped to it.  A scan of more than ``MAX_SCAN_POINTS``
+    samples raises ``ValueError``.
     """
     from scipy.optimize import brentq
 
     if not f_min < f_max:
         raise ValueError("need f_min < f_max")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
-    n = max(int(math.ceil((f_max - f_min) / resolution)) + 1, 2)
+    span = (f_max - f_min) / resolution  # inf when the width overflows
+    if not span <= MAX_SCAN_POINTS - 1:
+        raise ValueError(f"band-gap scan of {f_min:.6g} to {f_max:.6g} Hz at {resolution:.6g} Hz "
+                         f"resolution needs more than {MAX_SCAN_POINTS} samples")
+    n = max(int(math.ceil(span)) + 1, 2)
     freqs = np.linspace(f_min, f_max, n)
     in_gap = np.abs(dispersion(cell, freqs)) > 1.0
 

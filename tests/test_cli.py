@@ -423,6 +423,42 @@ def test_bandgap_rejects_a_non_finite_window(capsys, argv, option):
     assert err.count("\n") == 1 and f"error: {option} must be finite" in err
 
 
+def test_bandgap_rejects_an_oversized_scan(capsys):
+    # the window's width overflows the float range
+    code, err = run_one_line_error(capsys, "bandgap", "--f-min", "1e300", "--f-max", "1.7e308")
+    assert code == 2
+    assert "scan of 1e+300 to 1.7e+308 Hz at 100000 Hz resolution needs more than" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+def test_qvt_rejects_a_frequency_that_is_not_finite_and_positive(capsys, tmp_path, data_dir,
+                                                                 value):
+    temps = np.geomspace(4.0, 300.0, 12)
+    path = tmp_path / "qvt.csv"
+    path.write_text("T_K,Q,sigma_Q\n" + "".join(
+        f"{t!r},{1e6 / (1.0 + t / 100.0)!r},1e4\n" for t in temps.tolist()
+    ))
+    code, err = run_one_line_error(
+        capsys, "qvt", str(path), "--config", str(data_dir / "reference_config.json"),
+        f"--frequency-hz={value}",
+    )
+    assert code == 2
+    assert f"error: --frequency-hz must be finite and positive, got {float(value)}" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--f-start=nan"], "--f-start"),
+    (["--f-end=inf"], "--f-end"),
+    (["--f-start=-inf"], "--f-start"),
+])
+def test_duffing_sweep_rejects_a_non_finite_window(capsys, data_dir, argv, option):
+    code, err = run_one_line_error(
+        capsys, "duffing-sweep", "--config", str(data_dir / "reference_config.json"), *argv,
+    )
+    assert code == 2
+    assert f"error: {option} must be finite" in err
+
+
 def test_strong_mirrors_honour_f_center(capsys, tmp_path, data_dir):
     # every segment length scales as 1/f_center, so doubling it doubles
     # the gap edges and the mode frequency

@@ -518,8 +518,14 @@ def kron_lowering(dims, which):
 @settings(max_examples=100, deadline=None)
 @given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple))
 def test_lowering_matches_kron_reference(dims):
+    # a full-rank rho0 reaches every level, so the lowering operator of the
+    # one decaying mode is built on the whole space
+    size = math.prod(dims)
     for which in range(len(dims)):
-        got, expected = dynamics._lowering(dims, which), kron_lowering(dims, which)
+        decay = [float(k == which) for k in range(len(dims))]
+        _, [(_, got)] = dynamics._reached_levels(np.eye(size) / size, np.zeros((size, size)),
+                                                 dims, decay, [0.0] * len(dims))
+        expected = kron_lowering(dims, which)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
@@ -640,17 +646,42 @@ def test_subspace_restriction_matches_full_space(d_m, weighted):
     assert np.max(np.abs(result.final.matrix - expected[-1])) < 1e-10
 
 
-@pytest.mark.parametrize("d_m", [4, 8])
+@pytest.mark.parametrize("d_m", [4, 8, 100])
 def test_write_subspace_independent_of_cutoff(d_m):
     dims = (2, d_m)
     eff = effective_coupling(paper_system(), paper_drive())
     h = build_rwa_hamiltonian(eff, dims)
     rho0 = DensityMatrix.basis(dims, (1, 0))
-    jumps = dynamics._jump_operators(dims, [1e4, 1e3], [1e3, 1e2])
-    a, b, _ = dynamics._restrict(rho0.matrix, h, jumps)
-    indices = np.union1d(a, b)
+    idx, jumps = dynamics._reached_levels(rho0.matrix, h, dims, [1e4, 1e3], [1e3, 1e2])
+    block = np.ix_(idx, idx)
+    a, b, _ = dynamics._restrict(rho0.matrix[block], h[block], jumps)
+    indices = idx[np.union1d(a, b)]
     expected = sorted(int(np.ravel_multi_index(level, dims)) for level in ((0, 0), (1, 0), (0, 1)))
     assert indices.tolist() == expected
+
+
+@pytest.mark.parametrize("dissipation", [False, True])
+def test_write_gate_independent_of_cutoff(dissipation):
+    # |e,0> reaches |g,0>, |e,0> and |g,1> only, so a cutoff of 100 gives
+    # the gate of a cutoff of 3
+    system = TriModeSystem(
+        qubit=ModeParams(F_Q, decay_rate=1e4, anharmonicity=200e6, dephasing_rate=3e3),
+        snail=ModeParams(F_S, decay_rate=1e7),
+        mech=ModeParams(F_M, decay_rate=2e3, dephasing_rate=1e3),
+        g_qs=0.1 * (F_Q - F_S), g_sm=G_SM, g3=100e6,
+    )
+    small, large = (iswap(system, paper_drive(), d_m=d_m, dissipation=dissipation)
+                    for d_m in (3, 100))
+    for name in ("pop_e0", "pop_g1", "fidelity"):
+        assert np.max(np.abs(getattr(large, name) - getattr(small, name))) < 1e-14
+    reached = ((0, 0), (1, 0), (0, 1))
+    blocks = []
+    for result in (small, large):
+        idx = [int(np.ravel_multi_index(level, result.rho_final.dims)) for level in reached]
+        rho = result.rho_final.matrix
+        assert np.count_nonzero(rho) == np.count_nonzero(rho[np.ix_(idx, idx)])
+        blocks.append(rho[np.ix_(idx, idx)])
+    assert np.max(np.abs(blocks[1] - blocks[0])) < 1e-14
 
 
 def test_mixed_state_reaches_only_coherences_within_manifolds():
@@ -684,8 +715,8 @@ def test_evolve_returns_exactly_n_records(n_records):
     if n_records:
         assert np.array_equal(result.snapshots[0], rho0.matrix)
     # the final state is the state at ``duration`` however many records
-    expected = full_space_records(rho0.matrix, h, dynamics._jump_operators(dims, [1e4, 1e3], [0.0, 0.0]),
-                                  [duration])[0]
+    jumps = [(1e4, kron_lowering(dims, 0)), (1e3, kron_lowering(dims, 1))]
+    expected = full_space_records(rho0.matrix, h, jumps, [duration])[0]
     assert np.max(np.abs(result.final.matrix - expected)) < 1e-10
     assert result.final.population((1, 0)) < 0.99
 

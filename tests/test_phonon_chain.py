@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ def test_dispersion_midgap_exceeds_unity():
 
 def test_find_band_gaps_uniform_chain_empty():
     assert find_band_gaps(uniform_cell(), 50e6, 150e6, 0.1e6) == []
+
+
+# a window whose width overflows, and one of 1e9 samples (8 GB per array)
+@pytest.mark.parametrize("f_min, f_max", [(1e300, 1.7e308), (50e6, 1e14)])
+def test_find_band_gaps_rejects_an_oversized_scan(f_min, f_max):
+    message = f"scan of {f_min:.6g} to {f_max:.6g} Hz at 100000 Hz resolution needs more than 10000000"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        find_band_gaps(reference_mirror_cell(), f_min, f_max, 0.1e6)
 
 
 def _band_gaps_scalar_reference(cell, f_min, f_max, resolution):
