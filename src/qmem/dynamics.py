@@ -41,10 +41,12 @@ class ModeParams:
     dephasing_rate: float = 0.0
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
+        if not self.frequency > 0.0:
             raise ValueError("mode frequency must be positive")
-        if self.decay_rate < 0.0 or self.dephasing_rate < 0.0:
-            raise ValueError("rates must be >= 0")
+        if not (0.0 <= self.decay_rate < math.inf and 0.0 <= self.dephasing_rate < math.inf):
+            raise ValueError("rates must be finite and >= 0")
+        if not math.isfinite(self.anharmonicity):
+            raise ValueError("anharmonicity must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class TriModeSystem:
     g3: float
 
     def __post_init__(self):
-        if self.g_qs < 0.0 or self.g_sm < 0.0 or self.g3 < 0.0:
+        if not (self.g_qs >= 0.0 and self.g_sm >= 0.0 and self.g3 >= 0.0):
             raise ValueError("coupling magnitudes must be >= 0")
         for label, lam in (("lambda_qs", self.lambda_qs), ("lambda_sm", self.lambda_sm)):
             if abs(lam) > 0.5:
@@ -122,14 +124,18 @@ class DriveSpec:
     duration: float = 0.0
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
+        if not self.frequency > 0.0:
             raise ValueError("drive frequency must be positive")
         if (self.amplitude is None) == (self.n_photons is None):
             raise ValueError("supply exactly one of amplitude or n_photons")
-        if self.n_photons is not None and self.n_photons < 0.0:
+        if self.amplitude is not None and not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if self.n_photons is not None and not self.n_photons >= 0.0:
             raise ValueError("n_photons must be >= 0")
-        if self.duration < 0.0:
-            raise ValueError("duration must be >= 0")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,8 @@ def exact_normal_modes(system: TriModeSystem) -> np.ndarray:
 def hybridized_decay(gamma_m: float, lambda_sm: float, gamma_s: float) -> float:
     """Mechanical decay rate dressed by the lossy mixer:
     Gamma_m' = Gamma_m + lambda_sm^2 * Gamma_s."""
-    if gamma_m < 0.0 or gamma_s < 0.0:
-        raise ValueError("rates must be >= 0")
+    if not (0.0 <= gamma_m < math.inf and 0.0 <= gamma_s < math.inf):
+        raise ValueError("rates must be finite and >= 0")
     return gamma_m + lambda_sm**2 * gamma_s
 
 
@@ -209,7 +215,7 @@ def effective_eta(drive: DriveSpec, f_snail_hz: float) -> complex:
     photon number n_s is given instead, |eta| = sqrt(n_s).  Raises
     ``DriveOnResonance`` within 1e-6 relative of the mixer frequency.
     """
-    if f_snail_hz <= 0.0:
+    if not f_snail_hz > 0.0:
         raise ValueError("mixer frequency must be positive")
     if abs(drive.frequency - f_snail_hz) < 1e-6 * f_snail_hz:
         raise DriveOnResonance(
@@ -298,12 +304,12 @@ def build_rwa_hamiltonian(eff: EffectiveHamiltonian, dims: tuple[int, ...]) -> n
 class DensityMatrix:
     """Density matrix on a truncated tensor-product space.
 
-    Validates hermiticity (1e-10), unit trace (1e-9), and positivity
-    (eigenvalue floor -1e-9) at construction, so every final state that
-    ``evolve`` and ``iswap`` return carries those guarantees.  Their
-    propagator rebuilds each pair of transpose partners from the same
-    two real coordinates, and the lossless swap gate averages its state
-    with its adjoint, so those states are exactly Hermitian.
+    Validates finite entries, hermiticity (1e-10), unit trace (1e-9), and
+    positivity (eigenvalue floor -1e-9) at construction, so every final
+    state that ``evolve`` and ``iswap`` return carries those guarantees.
+    Their propagator rebuilds each pair of transpose partners from the
+    same two real coordinates, and the lossless swap gate averages its
+    state with its adjoint, so those states are exactly Hermitian.
     """
 
     dims: tuple[int, ...]
@@ -318,6 +324,8 @@ class DensityMatrix:
         # rows and columns without a nonzero change none of the three checks
         block = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
         support = rho[block][:, block]
+        if not np.isfinite(support).all():
+            raise ValueError("density matrix has a non-finite entry")
         if float(np.max(np.abs(support - support.conj().T), initial=0.0)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(float(np.trace(support).real) - 1.0) > 1e-9:
@@ -515,10 +523,10 @@ def evolve(
     dephase = [float(g) for g in dephasing_rates] if dephasing_rates is not None else [0.0] * len(dims)
     if len(dephase) != len(dims):
         raise ValueError("need one dephasing rate per mode")
-    if any(g < 0.0 for g in decay + dephase):
-        raise ValueError("rates must be >= 0")
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
+    if not all(0.0 <= g < math.inf for g in decay + dephase):
+        raise ValueError("rates must be finite and >= 0")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError("duration must be finite and >= 0")
 
     h_hz = np.asarray(h_hz, dtype=complex)
     if np.linalg.norm(h_hz - h_hz.conj().T) > 1e-10 * np.linalg.norm(h_hz):

@@ -7,8 +7,8 @@ segments of each unit cell.  Bloch dispersion of the periodic mirror,
 scattering through a finite chain, and the localized defect resonance
 all derive from 2x2 (stress, velocity) transfer matrices.  The chain
 matrix is mirror^N . defect . mirror^N, with the unimodular cell matrix
-raised to the N-th power in Chebyshev form, so its cost does not depend
-on the mirror count.
+raised to the N-th power in Chebyshev form: six segment matrices at any
+mirror count N, and N elementwise recurrence steps.
 
 Cells are assembled symmetrically (half narrow | wide | half narrow),
 which leaves the Bloch dispersion unchanged and makes every chain
@@ -37,8 +37,6 @@ from .errors import ChainMatrixOverflow, LinewidthNotResolved, NoDefectModeInGap
 MODE_SCAN_POINTS = 4001
 # most samples of a band-gap scan: 80 MB per float array
 MAX_SCAN_POINTS = 10**7
-# field samples per segment in mode_profile
-PROFILE_SAMPLES_PER_SEGMENT = 8
 # brentq tolerance of the mode root and half-maximum edges, as a fraction
 # of the predicted FWHM 4/|h'(f0)|
 LINE_TOL = 1e-9
@@ -249,8 +247,9 @@ def _power(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _transfer_matrix(chain: ChainSpec, f: np.ndarray) -> np.ndarray:
-    """Whole-chain transfer matrix mirror^N . defect . mirror^N; its cost
-    does not grow with the mirror count N."""
+    """Whole-chain transfer matrix mirror^N . defect . mirror^N: six
+    segment matrices at any mirror count N, and N elementwise recurrence
+    steps in ``_power``."""
     cell = _chain_matrix(_rendered_cell(chain.mirror_cell), f)
     mirror = _power(cell, chain.mirror_cells_per_side)
     return mirror @ _chain_matrix(_rendered_cell(chain.defect_cell), f) @ mirror
@@ -298,14 +297,15 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
     """Locate the localized defect resonance inside a band gap.
 
     The resonance residual h(f) comes from the Chebyshev chain matrix
-    mirror^N . defect . mirror^N, so one evaluation costs the same at any
-    mirror count N.  The mode frequency f0 is the root h = 0 nearest the
-    gap center, where the symmetric chain transmits exactly.  Near it
-    |t|^2 = 1/(1 + h^2/4) is a Lorentzian of predicted full width at half
-    maximum FWHM = 4/|h'(f0)|, and every tolerance scales with it: brentq
-    places the root, and any half-maximum edge |h| = 2, to ``LINE_TOL``
-    of the predicted FWHM, or to the float resolution of f if coarser.
-    h'(f0) is a central difference over +-``SLOPE_STEP`` f0.
+    mirror^N . defect . mirror^N: six segment matrices at any mirror count
+    N, and N elementwise recurrence steps.  The mode frequency f0 is the
+    root h = 0 nearest the gap center, where the symmetric chain transmits
+    exactly.  Near it |t|^2 = 1/(1 + h^2/4) is a Lorentzian of predicted
+    full width at half maximum FWHM = 4/|h'(f0)|, and every tolerance
+    scales with it: brentq places the root, and any half-maximum edge
+    |h| = 2, to ``LINE_TOL`` of the predicted FWHM, or to the float
+    resolution of f if coarser.  h'(f0) is a central difference over
+    +-``SLOPE_STEP`` f0.
 
     The radiative Q is f0/FWHM, in one of two regimes.  Below
     ``DIRECT_Q_MIN`` the FWHM is the distance between the half-maximum
@@ -403,43 +403,32 @@ def find_defect_mode(chain: ChainSpec, gap: BandGap) -> DefectMode:
 def mode_profile(chain: ChainSpec, mode: DefectMode):
     """Per-cell field amplitude of the defect mode, normalized at the defect.
 
-    The field is integrated from the outgoing-wave boundary on the right
-    half of the chain at the mode frequency and mirrored onto the left
-    half (the chain is symmetric by construction).  Cell amplitudes are
-    RMS energy-density samples, so successive mirror cells decay by the
-    Bloch factor exp(-kappa*a); the outermost cell blends into the
+    A unit outgoing wave at the right termination is carried leftward at
+    the mode frequency, one segment matrix per segment, and the right half
+    is mirrored onto the left (the chain is symmetric by construction).
+    A lossless segment keeps |sigma|^2/Z + Z|v|^2 = 2Z(|a+|^2 + |a-|^2)
+    along its length, and a cell's amplitude is the square root of its
+    mean over the cell's three segments, so successive mirror cells decay
+    by the Bloch factor exp(-kappa*a); the outermost cell blends into the
     launched traveling wave and can deviate from pure Bloch decay.
 
     Returns a list of (cell_index, amplitude) with the defect at index
     ``mirror_cells_per_side`` and amplitude 1.
     """
-    segments = _chain_segments(chain)
     defect_index = chain.mirror_cells_per_side
-    n_cells = 2 * defect_index + 1
-    f = mode.frequency
+    f = np.array(mode.frequency)
 
-    # start from unit outgoing wave at the right termination and propagate
-    # leftward: state_left = M_segment @ state_right
-    z_t = chain.termination_impedance
-    state = np.array([1.0 + 0.0j, 1.0 / z_t])
-    energy_sums = np.zeros(n_cells)
-    for seg_index in range(len(segments) - 1, 3 * defect_index - 1, -1):
-        segment = segments[seg_index]
-        cell_index = seg_index // 3
-        slice_seg = replace(segment, length=segment.length / PROFILE_SAMPLES_PER_SEGMENT)
-        m_slice = _segment_matrices(slice_seg, np.zeros(()) + f)
+    # (stress, velocity) of the outgoing wave; state_left = M_segment @ state_right
+    state = np.array([1.0 + 0.0j, 1.0 / chain.termination_impedance])
+    energies = []
+    for segment in reversed(_chain_segments(chain)[3 * defect_index:]):
         z = segment.acoustic_impedance
-        for _ in range(PROFILE_SAMPLES_PER_SEGMENT):
-            energy_sums[cell_index] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
-            state = m_slice @ state
-        energy_sums[cell_index] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
+        energies.append(abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2)
+        state = _segment_matrices(segment, f) @ state
 
-    amplitudes = np.zeros(n_cells)
-    # every cell holds three segments of PROFILE_SAMPLES_PER_SEGMENT + 1 samples
-    right = np.sqrt(energy_sums[defect_index:] / (3 * (PROFILE_SAMPLES_PER_SEGMENT + 1)))
-    amplitudes[defect_index:] = right
-    amplitudes[:defect_index] = right[1:][::-1]
-    amplitudes /= amplitudes[defect_index]
+    # three segments per cell, the outermost cell first
+    right = np.sqrt(np.reshape(energies, (-1, 3)).mean(axis=1))[::-1]
+    amplitudes = np.concatenate((right[:0:-1], right)) / right[0]
     return [(i, float(a)) for i, a in enumerate(amplitudes)]
 
 

@@ -412,6 +412,48 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative
 
 
+@pytest.mark.parametrize("rho", [
+    pytest.param(np.diag([math.nan, 1.0]), id="nan-population"),
+    pytest.param(np.array([[0.5, math.inf], [math.inf, 0.5]]), id="inf-coherence"),
+    pytest.param(np.full((2, 2), math.nan), id="all-nan"),
+])
+def test_density_matrix_rejects_non_finite_entries(rho):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        DensityMatrix((2,), rho)
+
+
+def _evolve_e0(rates=(0.0, 0.0), duration=1e-3, dephasing=None):
+    return evolve(DensityMatrix.basis((2, 3), (1, 0)), np.zeros((6, 6)), list(rates), duration,
+                  dephasing_rates=dephasing)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ModeParams(math.nan), id="mode-frequency-nan"),
+    pytest.param(lambda: ModeParams(1e9, decay_rate=math.nan), id="mode-decay-nan"),
+    pytest.param(lambda: ModeParams(1e9, dephasing_rate=math.inf), id="mode-dephasing-inf"),
+    pytest.param(lambda: ModeParams(1e9, anharmonicity=math.nan), id="mode-anharmonicity-nan"),
+    pytest.param(lambda: replace(paper_system(), g_qs=math.nan), id="system-g_qs-nan"),
+    pytest.param(lambda: replace(paper_system(), g3=math.nan), id="system-g3-nan"),
+    pytest.param(lambda: DriveSpec(frequency=math.nan, n_photons=1.0), id="drive-frequency-nan"),
+    pytest.param(lambda: DriveSpec(frequency=1e9, n_photons=math.nan), id="drive-n_photons-nan"),
+    pytest.param(lambda: DriveSpec(frequency=1e9, amplitude=math.inf), id="drive-amplitude-inf"),
+    pytest.param(lambda: DriveSpec(frequency=1e9, amplitude=1e6, phase=math.nan), id="drive-phase-nan"),
+    pytest.param(lambda: DriveSpec(frequency=1e9, n_photons=1.0, duration=math.nan),
+                 id="drive-duration-nan"),
+    pytest.param(lambda: hybridized_decay(math.nan, 0.01, 1e7), id="hybridized-gamma_m-nan"),
+    pytest.param(lambda: hybridized_decay(0.0, 0.01, math.inf), id="hybridized-gamma_s-inf"),
+    pytest.param(lambda: effective_eta(paper_drive(), math.nan), id="eta-f_snail-nan"),
+    pytest.param(lambda: _evolve_e0(rates=(math.nan, 0.0)), id="evolve-decay-nan"),
+    pytest.param(lambda: _evolve_e0(dephasing=(0.0, math.inf)), id="evolve-dephasing-inf"),
+    pytest.param(lambda: _evolve_e0(duration=math.nan), id="evolve-duration-nan"),
+    pytest.param(lambda: _evolve_e0(duration=math.inf), id="evolve-duration-inf"),
+])
+def test_non_finite_inputs_are_rejected(build):
+    # by the input check, which names the bound, before any computation
+    with pytest.raises(ValueError, match="finite|positive|>= 0"):
+        build()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     eigenvalues=st.lists(

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qmem.phonon_chain import (
     _chain_matrix,
     _chain_segments,
     _rendered_cell,
+    _segment_matrices,
     _transfer_matrix,
     bloch_decay_per_cell,
     dispersion,
@@ -400,6 +402,67 @@ def test_mode_profile_normalization_and_symmetry():
     assert amplitudes[center] == 1.0
     assert np.max(np.abs(amplitudes - amplitudes[::-1])) < 1e-9
     assert np.all(np.diff(amplitudes[center:]) < 0)
+
+
+def _sampled_profile(chain, mode):
+    # per-cell amplitudes from eight slices per segment: the mean of
+    # |sigma|^2/Z + Z|v|^2 over the nine slice ends of each of the cell's
+    # three segments, walking leftward from the right termination
+    samples = 8
+    segments = _chain_segments(chain)
+    defect = chain.mirror_cells_per_side
+    f = np.array(mode.frequency)
+    sums = np.zeros(2 * defect + 1)
+    state = np.array([1.0 + 0.0j, 1.0 / chain.termination_impedance])
+    for index in range(len(segments) - 1, 3 * defect - 1, -1):
+        segment = segments[index]
+        step = _segment_matrices(replace(segment, length=segment.length / samples), f)
+        z = segment.acoustic_impedance
+        for _ in range(samples):
+            sums[index // 3] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
+            state = step @ state
+        sums[index // 3] += abs(state[0]) ** 2 / z + z * abs(state[1]) ** 2
+    right = np.sqrt(sums[defect:] / (3 * (samples + 1)))
+    amplitudes = np.concatenate((right[:0:-1], right))
+    return amplitudes / amplitudes[defect]
+
+
+@pytest.mark.parametrize("builder,window", [
+    (reference_chain, (50e6, 150e6)),
+    (strong_chain, (50e6, 160e6)),
+])
+def test_mode_profile_matches_sampled_walk(builder, window):
+    # the reference chain holds a mode from N = 3 on, the strong chain from N = 2
+    compared = []
+    for n in range(2, 11):
+        chain = builder(n)
+        gap = find_band_gaps(chain.mirror_cell, *window, 0.1e6)[0]
+        try:
+            mode = find_defect_mode(chain, gap)
+        except NoDefectModeInGap:
+            continue
+        amplitudes = np.array([a for _, a in mode_profile(chain, mode)])
+        reference = _sampled_profile(chain, mode)
+        assert np.max(np.abs(amplitudes - reference) / reference) <= 2e-14
+        compared.append(n)
+    assert len(compared) >= 8
+
+
+wave_amplitudes = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment=segments, f=st.floats(1e6, 3e8), sigma=wave_amplitudes, zv=wave_amplitudes)
+def test_segment_step_conserves_wave_intensity(segment, f, sigma, zv):
+    # |sigma|^2/Z + Z|v|^2 = 2Z(|a+|^2 + |a-|^2) along a lossless segment
+    z = segment.acoustic_impedance
+    state = np.array([sigma, zv / z])
+    stepped = _segment_matrices(segment, np.array(f)) @ state
+
+    def intensity(s):
+        return abs(s[0]) ** 2 / z + z * abs(s[1]) ** 2
+
+    assert abs(intensity(stepped) - intensity(state)) <= 1e-12 * intensity(state)
 
 
 @pytest.mark.parametrize("builder,window", [
