@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table
+from .core import FrequencyTrace, TimeTrace, angular, fit_least_squares, read_csv_table, require_finite
 from .errors import FitDidNotConverge, NonDecayingTrace, NoPeakFound
 
 
@@ -202,8 +202,7 @@ def q_tau_consistency(quality_factor: float, f_hz: float, tau_s: float) -> float
     tau = Q/omega is the energy decay time; a value near zero means the
     frequency-domain Q and the ringdown lifetime describe the same loss.
     """
-    if quality_factor <= 0.0 or f_hz <= 0.0 or tau_s <= 0.0:
-        raise ValueError("Q, f, tau must all be positive")
+    require_finite(above=0.0, quality_factor=quality_factor, f_hz=f_hz, tau_s=tau_s)
     return abs(quality_factor - angular(f_hz) * tau_s) / quality_factor
 
 

@@ -8,12 +8,15 @@ Conventions used throughout the package:
 * Temperatures are in kelvin and T = 0 is a legal input everywhere,
   with occupation numbers defined by their zero-temperature limit.
 * Times in seconds, capacitances in farads, inductances in henries.
+* Every physical input passes :func:`require_finite`: it is finite and,
+  where it has a lower bound, above it (or at it, for an inclusive bound).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import FitDidNotConverge
 
 TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,37 @@ def ordinary(omega_rad_s):
     return omega_rad_s / TWO_PI
 
 
+def require_finite(*, above: float | None = None, at_least: float | None = None,
+                   whole: bool = False, **values) -> None:
+    """Raise ValueError naming the first ``name=value`` pair whose value is
+    not finite, not > ``above`` or >= ``at_least`` where one is given, or,
+    with ``whole``, not a whole number (5.0 is one): ``C0 must be finite and
+    > 0, got nan``.  A value is a real scalar or an array, named with its
+    first failing element; an array without a bound may be complex.  A
+    scalar is compared with the largest float, which NaN and the infinities
+    fail and an int of any size compares with exactly, so one past the
+    float range fails too, reported by its bit length."""
+    strict = above is not None
+    bound = above if strict else at_least
+    low = -_FLOAT_MAX if bound is None else bound
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            ok = np.isfinite(value)
+            if bound is not None:
+                ok &= value > bound if strict else value >= bound
+            if ok.all():
+                continue
+            value = value.flat[np.argmin(ok)]
+        elif ((low < value <= _FLOAT_MAX if strict else low <= value <= _FLOAT_MAX)
+              and not (whole and value % 1)):
+            continue
+        if isinstance(value, int) and abs(value) > _FLOAT_MAX:  # str() refuses 4,300+ digits
+            value = f"an int of {value.bit_length()} bits"
+        rule = "finite" if bound is None else (
+            f"{'a whole number' if whole else 'finite and'} {'>' if strict else '>='} {bound:g}")
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def thermal_occupation(f_hz: float, temperature_k: float) -> float:
     """Mean thermal phonon number of a mode at ``f_hz`` and temperature T.
 
@@ -53,10 +88,8 @@ def thermal_occupation(f_hz: float, temperature_k: float) -> float:
     with ``expm1`` so the classical limit hbar*omega << k_B*T keeps full
     precision.  Returns 0 at T = 0.
     """
-    if f_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f_hz}")
-    if temperature_k < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature_k}")
+    require_finite(above=0.0, f_hz=f_hz)
+    require_finite(at_least=0.0, temperature_k=temperature_k)
     if temperature_k == 0.0:
         return 0.0
     x = CONSTANTS.hbar * angular(f_hz) / (CONSTANTS.k_B * temperature_k)
@@ -73,8 +106,7 @@ def thermal_decoherence_time(quality_factor: float, f_hz: float, temperature_k: 
     to Q/omega for hbar*omega >> k_B*T and to hbar*Q/(k_B*T) in the
     high-temperature limit.
     """
-    if quality_factor <= 0.0:
-        raise ValueError(f"Q must be positive, got {quality_factor}")
+    require_finite(above=0.0, quality_factor=quality_factor)
     n_th = thermal_occupation(f_hz, temperature_k)
     gamma = angular(f_hz) / quality_factor
     return 1.0 / ((n_th + 1.0) * gamma)
@@ -197,6 +229,7 @@ def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    require_finite(**{name: arr})
     return arr
 
 
@@ -204,8 +237,8 @@ def _as_float_array(values, name: str) -> np.ndarray:
 class FrequencyTrace:
     """Sampled complex response versus frequency.
 
-    ``frequencies`` must be strictly increasing and the same length as
-    ``response``.  Magnitude-only data is carried with zero imaginary part.
+    ``frequencies`` (strictly increasing) and ``response`` must be finite
+    and of equal length; magnitude-only data has zero imaginary part.
     """
 
     frequencies: np.ndarray
@@ -214,6 +247,7 @@ class FrequencyTrace:
     def __post_init__(self):
         freqs = _as_float_array(self.frequencies, "frequencies")
         resp = np.asarray(self.response, dtype=complex)
+        require_finite(response=resp)
         if resp.shape != freqs.shape:
             raise ValueError("frequencies and response must have equal length")
         if np.any(np.diff(freqs) <= 0.0):
@@ -227,7 +261,7 @@ class FrequencyTrace:
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Sampled real amplitude versus time, strictly increasing time axis."""
+    """Sampled finite real amplitude versus a strictly increasing time axis."""
 
     times: np.ndarray
     amplitude: np.ndarray

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import fit_least_squares
+from .core import fit_least_squares, require_finite
 from .errors import NoBackbonePeak
 
 
@@ -35,17 +35,12 @@ class DuffingParams:
     drive: float
 
     def __post_init__(self):
-        # as floats: the square of a large int such as 2**62 stays an exact
-        # int, which numpy cannot test for finiteness
+        require_finite(above=0.0, f0=self.f0, Q=self.Q)
+        require_finite(beta=self.beta)
+        require_finite(at_least=0.0, drive=self.drive)
+        # as floats: the square of a large int such as 2**62 stays an exact int
         for name in ("f0", "Q", "beta", "drive"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.f0 <= 0.0 or self.Q <= 0.0:
-            raise ValueError("f0 and Q must be positive")
-        if self.drive < 0.0:
-            raise ValueError("drive must be >= 0")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,7 @@ def _steady_states(p: DuffingParams, freqs: np.ndarray) -> tuple[np.ndarray, np.
     companion matrices built as ``np.roots`` builds them.  With zero drive,
     or a drive whose square underflows, the resonator rests at a = 0.
     """
-    if np.any(freqs <= 0.0):
-        raise ValueError("drive frequency must be positive")
+    require_finite(above=0.0, f_hz=freqs)
     with np.errstate(all="ignore"):  # a coefficient past the float range raises below
         c3, c2, c1, c0 = _cubic_coefficients(p, freqs)
         _check_finite(p, "amplitude cubic", c3, c2, c1, c0)
@@ -280,11 +274,10 @@ def backbone(p: DuffingParams, drive_levels) -> list[tuple[float, float]]:
     jumps up past it.  Raises ``NoBackbonePeak`` when the curve has no
     real peak at some level.
     """
-    levels = [float(v) for v in drive_levels]
+    # each level checked as the drive of p, and taken as a float
+    levels = [replace(p, drive=level).drive for level in drive_levels]
     if len(levels) < 3:
         raise ValueError("need at least 3 drive levels")
-    for level in levels:
-        DuffingParams(f0=p.f0, Q=p.Q, beta=p.beta, drive=level)  # validates the level
     linewidth = p.f0 / p.Q
     c = 0.5 * linewidth * linewidth
     k = c * c + linewidth * linewidth * (p.f0 * p.f0 - c)
@@ -315,8 +308,10 @@ def fit_backbone(points) -> BackboneFit:
         raise ValueError("need at least 4 points")
     amps = np.array([a for a, _ in pts])
     freqs = np.array([f for _, f in pts])
-    if np.any(amps <= 0.0) or np.unique(amps).size != amps.size:
-        raise ValueError("amplitudes must be positive and distinct")
+    require_finite(above=0.0, amplitudes=amps)
+    require_finite(frequencies=freqs)
+    if np.unique(amps).size != amps.size:
+        raise ValueError("amplitudes must be distinct")
 
     f0_init = float(np.min(freqs))
     n_init = 2.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TWO_PI
+from .core import TWO_PI, require_finite
 from .errors import DegenerateModes, DriveOffDifferenceFrequency, DriveOnResonance
 
 
@@ -41,12 +41,9 @@ class ModeParams:
     dephasing_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.frequency > 0.0:
-            raise ValueError("mode frequency must be positive")
-        if not (0.0 <= self.decay_rate < math.inf and 0.0 <= self.dephasing_rate < math.inf):
-            raise ValueError("rates must be finite and >= 0")
-        if not math.isfinite(self.anharmonicity):
-            raise ValueError("anharmonicity must be finite")
+        require_finite(above=0.0, frequency=self.frequency)
+        require_finite(at_least=0.0, decay_rate=self.decay_rate, dephasing_rate=self.dephasing_rate)
+        require_finite(anharmonicity=self.anharmonicity)
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,7 @@ class TriModeSystem:
     g3: float
 
     def __post_init__(self):
-        if not (self.g_qs >= 0.0 and self.g_sm >= 0.0 and self.g3 >= 0.0):
-            raise ValueError("coupling magnitudes must be >= 0")
+        require_finite(at_least=0.0, g_qs=self.g_qs, g_sm=self.g_sm, g3=self.g3)
         for label, lam in (("lambda_qs", self.lambda_qs), ("lambda_sm", self.lambda_sm)):
             if abs(lam) > 0.5:
                 warnings.warn(
@@ -124,18 +120,15 @@ class DriveSpec:
     duration: float = 0.0
 
     def __post_init__(self):
-        if not self.frequency > 0.0:
-            raise ValueError("drive frequency must be positive")
         if (self.amplitude is None) == (self.n_photons is None):
             raise ValueError("supply exactly one of amplitude or n_photons")
-        if self.amplitude is not None and not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-        if self.n_photons is not None and not self.n_photons >= 0.0:
-            raise ValueError("n_photons must be >= 0")
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError("duration must be finite and >= 0")
+        require_finite(above=0.0, frequency=self.frequency)
+        if self.amplitude is None:
+            require_finite(at_least=0.0, n_photons=self.n_photons)
+        else:
+            require_finite(amplitude=self.amplitude)
+        require_finite(phase=self.phase)
+        require_finite(at_least=0.0, duration=self.duration)
 
 
 @dataclass(frozen=True)
@@ -202,8 +195,8 @@ def exact_normal_modes(system: TriModeSystem) -> np.ndarray:
 def hybridized_decay(gamma_m: float, lambda_sm: float, gamma_s: float) -> float:
     """Mechanical decay rate dressed by the lossy mixer:
     Gamma_m' = Gamma_m + lambda_sm^2 * Gamma_s."""
-    if not (0.0 <= gamma_m < math.inf and 0.0 <= gamma_s < math.inf):
-        raise ValueError("rates must be finite and >= 0")
+    require_finite(at_least=0.0, gamma_m=gamma_m, gamma_s=gamma_s)
+    require_finite(lambda_sm=lambda_sm)
     return gamma_m + lambda_sm**2 * gamma_s
 
 
@@ -215,8 +208,7 @@ def effective_eta(drive: DriveSpec, f_snail_hz: float) -> complex:
     photon number n_s is given instead, |eta| = sqrt(n_s).  Raises
     ``DriveOnResonance`` within 1e-6 relative of the mixer frequency.
     """
-    if not f_snail_hz > 0.0:
-        raise ValueError("mixer frequency must be positive")
+    require_finite(above=0.0, f_snail_hz=f_snail_hz)
     if abs(drive.frequency - f_snail_hz) < 1e-6 * f_snail_hz:
         raise DriveOnResonance(
             f"drive at {drive.frequency:.6g} Hz on the mixer resonance {f_snail_hz:.6g} Hz"
@@ -509,8 +501,8 @@ def evolve(
     support reaches through H and the lowering operators
     (``_reached_levels``): the closure, the dissipators and the generator
     are built on that block, and the full-space states are written once,
-    on return.  H must be Hermitian within 1e-10 of its norm, else
-    ``ValueError``.
+    on return.  H must be finite and Hermitian within 1e-10 of its norm,
+    else ``ValueError``.
 
     ``snapshots`` holds exactly ``n_records`` states at
     linspace(0, duration, n_records); ``final`` is always the state at
@@ -523,12 +515,12 @@ def evolve(
     dephase = [float(g) for g in dephasing_rates] if dephasing_rates is not None else [0.0] * len(dims)
     if len(dephase) != len(dims):
         raise ValueError("need one dephasing rate per mode")
-    if not all(0.0 <= g < math.inf for g in decay + dephase):
-        raise ValueError("rates must be finite and >= 0")
-    if not 0.0 <= duration < math.inf:
-        raise ValueError("duration must be finite and >= 0")
+    require_finite(at_least=0.0, decay_rates=np.array(decay), dephasing_rates=np.array(dephase),
+                   duration=duration)
 
     h_hz = np.asarray(h_hz, dtype=complex)
+    # before the Hermiticity test, which is False when both norms are NaN
+    require_finite(Hamiltonian=h_hz)
     if np.linalg.norm(h_hz - h_hz.conj().T) > 1e-10 * np.linalg.norm(h_hz):
         raise ValueError("Hamiltonian is not Hermitian within 1e-10 of its norm")
 

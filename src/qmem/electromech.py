@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyTrace, angular, fit_least_squares, read_csv_table, write_csv_table
+from .core import (TWO_PI, FrequencyTrace, angular, fit_least_squares, read_csv_table, require_finite,
+                   write_csv_table)
 from .errors import ResonanceNotInWindow
 
 
@@ -43,10 +44,8 @@ class BvdParams:
     Rm: float = 0.0
 
     def __post_init__(self):
-        if self.C0 <= 0.0 or self.Cm <= 0.0 or self.Lm <= 0.0:
-            raise ValueError("C0, Cm, Lm must all be positive")
-        if self.Rm < 0.0:
-            raise ValueError("Rm must be >= 0")
+        require_finite(above=0.0, C0=self.C0, Cm=self.Cm, Lm=self.Lm)
+        require_finite(at_least=0.0, Rm=self.Rm)
         if self.Lm * self.Cm == 0.0:
             raise ValueError(f"Lm*Cm underflows to 0 (Lm={self.Lm:g}, Cm={self.Cm:g}): "
                              "the series resonance is not finite")
@@ -75,23 +74,19 @@ class ShuntCircuit:
     f_r: float | None = None
 
     def __post_init__(self):
-        if self.Cr <= 0.0:
-            raise ValueError("Cr must be positive")
         if self.Lr is None and self.f_r is None:
             raise ValueError("supply Lr or f_r")
+        require_finite(above=0.0, **{name: v for name, v in vars(self).items() if v is not None})
         if self.Lr is not None:
-            if self.Lr <= 0.0:
-                raise ValueError("Lr must be positive")
             if self.Lr * self.Cr == 0.0:
                 raise ValueError(f"Lr*Cr underflows to 0 (Lr={self.Lr:g}, Cr={self.Cr:g}): "
                                  "the resonance is not finite")
             derived = 1.0 / (TWO_PI * math.sqrt(self.Lr * self.Cr))
-            if self.f_r is not None:
-                if abs(derived - self.f_r) > 1e-9 * self.f_r:
-                    raise ValueError("f_r inconsistent with 1/(2*pi*sqrt(Lr*Cr))")
+            if self.f_r is not None and abs(derived - self.f_r) > 1e-9 * self.f_r:
+                raise ValueError("f_r inconsistent with 1/(2*pi*sqrt(Lr*Cr))")
+            # an Lr*Cr past the float range leaves f_r = 0
+            require_finite(above=0.0, f_r=derived)
             object.__setattr__(self, "f_r", derived)
-        if self.f_r is None or self.f_r <= 0.0:
-            raise ValueError("f_r must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,8 +96,7 @@ class DefectArraySpec:
     N: int = 1
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        require_finite(at_least=1, whole=True, N=self.N)
 
 
 def bvd_admittance(params: BvdParams, f_hz):
@@ -115,8 +109,7 @@ def bvd_admittance(params: BvdParams, f_hz):
     """
     scalar = np.isscalar(f_hz)
     f = np.atleast_1d(np.asarray(f_hz, dtype=float))
-    if np.any(f <= 0.0):
-        raise ValueError("frequencies must be positive")
+    require_finite(above=0.0, f_hz=f)
     omega = angular(f)
     z_series = params.Rm + 1j * omega * params.Lm + 1.0 / (1j * omega * params.Cm)
     y = np.empty_like(z_series)
@@ -244,8 +237,7 @@ def coupling_rate_gsm(params: BvdParams, shunt: ShuntCircuit, f_m_hz: float | No
     """
     if f_m_hz is None:
         f_m_hz = params.series_resonance_hz
-    if f_m_hz <= 0.0:
-        raise ValueError("mechanical frequency must be positive")
+    require_finite(above=0.0, f_m_hz=f_m_hz)
     if shunt.Cr <= 10.0 * (params.C0 + params.Cm):
         warnings.warn(
             "Cr is not large compared to C0 + Cm; the coupling formula "
@@ -261,12 +253,8 @@ def coupling_rate_gij(ci: float, cj: float, cij: float, fi_hz: float, fj_hz: flo
 
     g = (1/2)*sqrt(omega_i*omega_j) * Cij/sqrt((Ci+Cij)*(Cj+Cij)).
     """
-    if ci <= 0.0 or cj <= 0.0:
-        raise ValueError("mode capacitances must be positive")
-    if cij < 0.0:
-        raise ValueError("coupling capacitance must be >= 0")
-    if fi_hz <= 0.0 or fj_hz <= 0.0:
-        raise ValueError("frequencies must be positive")
+    require_finite(above=0.0, ci=ci, cj=cj, fi_hz=fi_hz, fj_hz=fj_hz)
+    require_finite(at_least=0.0, cij=cij)
     return 0.5 * math.sqrt(fi_hz * fj_hz) * cij / math.sqrt((ci + cij) * (cj + cij))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (angular, fit_least_squares, parameter_uncertainties, read_csv_table, remember_last,
-                   write_csv_table)
+                   require_finite, write_csv_table)
 from .errors import DegenerateJacobian, TemplateOutOfRange
 
 
@@ -38,10 +38,8 @@ class ZenerChannel:
     activation_temp: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0.0 or self.tau0 <= 0.0:
-            raise ValueError("delta and tau0 must be positive")
-        if self.activation_temp < 0.0:
-            raise ValueError("activation_temp must be >= 0")
+        require_finite(above=0.0, delta=self.delta, tau0=self.tau0)
+        require_finite(at_least=0.0, activation_temp=self.activation_temp)
 
     def q_inverse(self, f_hz: float, temperature_k: float | np.ndarray):
         return zener_q_inverse(self, f_hz, temperature_k)
@@ -55,8 +53,8 @@ class PowerLawChannel:
     exponent: float = 4.0
 
     def __post_init__(self):
-        if self.coefficient <= 0.0:
-            raise ValueError("coefficient must be positive")
+        require_finite(above=0.0, coefficient=self.coefficient)
+        require_finite(exponent=self.exponent)
 
     def q_inverse(self, f_hz: float, temperature_k: float | np.ndarray):
         return landau_rumer_q_inverse(self, temperature_k)
@@ -69,8 +67,7 @@ class ConstantChannel:
     q_value: float
 
     def __post_init__(self):
-        if self.q_value <= 0.0:
-            raise ValueError("q_value must be positive")
+        require_finite(above=0.0, q_value=self.q_value)
 
     def q_inverse(self, f_hz: float, temperature_k: float) -> float:
         return _constant(f_hz, temperature_k, self.q_value)
@@ -93,10 +90,9 @@ class LossStack:
 
 
 def _temperatures(temperature_k) -> np.ndarray:
-    """``temperature_k`` as an array, checked to be >= 0."""
+    """``temperature_k`` as an array, checked to be finite and >= 0."""
     t = np.asarray(temperature_k, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("temperature must be >= 0")
+    require_finite(at_least=0.0, temperature_k=t)
     return t
 
 
@@ -156,6 +152,7 @@ def zener_q_inverse(
     on both sides of the Debye peak and cannot overflow.  ``temperature_k``
     is a float or an array of temperatures; the result has the same form.
     """
+    require_finite(above=0.0, f_hz=f_hz)
     t = _temperatures(temperature_k)
     q_inv = _zener(f_hz, t, channel.delta, channel.tau0, channel.activation_temp)
     return q_inv if t.ndim else float(q_inv)
@@ -200,8 +197,7 @@ class QvsTDataset:
         s = np.asarray(self.sigma_q, dtype=float)
         if not (t.shape == q.shape == s.shape) or t.ndim != 1 or t.size == 0:
             raise ValueError("temperatures, q_values, sigma_q must be equal-length 1-D")
-        if np.any(t <= 0.0) or np.any(q <= 0.0) or np.any(s <= 0.0):
-            raise ValueError("T, Q, sigma_Q must all be positive")
+        require_finite(above=0.0, temperatures=t, q_values=q, sigma_q=s)
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("temperatures must be strictly increasing")
         object.__setattr__(self, "temperatures", t)
@@ -277,7 +273,7 @@ def _stack_model(template: LossStack, names, f_hz: float, data: QvsTDataset):
     of the channel kernels on raw values; no channel or stack is built.
 
     The residuals are infinite where ``_unpack`` would fail (a negative
-    bounded parameter, or a log parameter whose exp overflows or
+    bounded parameter, or a log parameter that overflows to inf or
     underflows to 0).  Each channel's packed parameters are its fields in
     order, so they slice theta.
     """
@@ -300,9 +296,9 @@ def _stack_model(template: LossStack, names, f_hz: float, data: QvsTDataset):
                     value = scale * math.exp(value)
                 except OverflowError:
                     return None
-                if value <= 0.0:
-                    return None
-            elif value < 0.0:
+            # the channels' rule, inline as no channel is built: finite, and
+            # > 0 for a log parameter, >= 0 for a linear one
+            if not (0.0 < value < math.inf if scale is not None else 0.0 <= value < math.inf):
                 return None
             raw.append(value)
         return raw

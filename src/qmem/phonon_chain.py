@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import angular
+from .core import angular, require_finite
 from .errors import ChainMatrixOverflow, LinewidthNotResolved, NoDefectModeInGap
 
 # samples of the resonance residual across a gap when bracketing modes
@@ -59,8 +59,7 @@ class Segment:
     acoustic_impedance: float
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.sound_speed <= 0.0 or self.acoustic_impedance <= 0.0:
-            raise ValueError("segment length, speed, impedance must be positive")
+        require_finite(above=0.0, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,10 @@ class ChainSpec:
     termination_impedance: float
 
     def __post_init__(self):
-        if self.mirror_cells_per_side < 0:
-            raise ValueError("mirror_cells_per_side must be >= 0")
-        if self.termination_impedance <= 0.0:
-            raise ValueError("termination_impedance must be positive")
+        require_finite(at_least=0, whole=True, mirror_cells_per_side=self.mirror_cells_per_side)
+        require_finite(above=0.0, termination_impedance=self.termination_impedance)
+        # 5.0 cells as the int that the chain matrix's recurrence counts
+        object.__setattr__(self, "mirror_cells_per_side", int(self.mirror_cells_per_side))
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,7 @@ class BandGap:
     f_high: float
 
     def __post_init__(self):
+        require_finite(f_low=self.f_low, f_high=self.f_high)
         if not self.f_low < self.f_high:
             raise ValueError("band gap requires f_low < f_high")
 
@@ -124,8 +124,7 @@ class DefectMode:
     radiative_q: float
 
     def __post_init__(self):
-        if self.frequency <= 0.0 or self.localization_length <= 0.0 or self.radiative_q <= 0.0:
-            raise ValueError("mode frequency, localization length, Q must be positive")
+        require_finite(above=0.0, **vars(self))
 
 
 def dispersion(cell: UnitCell, f_hz):
@@ -167,8 +166,7 @@ def find_band_gaps(cell: UnitCell, f_min: float, f_max: float, resolution: float
 
     if not f_min < f_max:
         raise ValueError("need f_min < f_max")
-    if not resolution > 0.0:
-        raise ValueError("resolution must be positive")
+    require_finite(above=0.0, resolution=resolution)
     span = (f_max - f_min) / resolution  # inf when the width overflows
     if not span <= MAX_SCAN_POINTS - 1:
         raise ValueError(f"band-gap scan of {f_min:.6g} to {f_max:.6g} Hz at {resolution:.6g} Hz "
@@ -258,8 +256,7 @@ def _transfer_matrix(chain: ChainSpec, f: np.ndarray) -> np.ndarray:
 def scattering_amplitudes(chain: ChainSpec, f_hz):
     """Complex transmission and reflection amplitudes (t, r) of the chain."""
     f = np.atleast_1d(np.asarray(f_hz, dtype=float))
-    if np.any(f <= 0.0):
-        raise ValueError("frequencies must be positive")
+    require_finite(above=0.0, f_hz=f)
     m = _transfer_matrix(chain, f)
     z = chain.termination_impedance
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
@@ -276,8 +273,7 @@ def transmission(chain: ChainSpec, f_hz):
     exact for the lossless symmetric chains ``ChainSpec`` builds, and at
     most 1 even at high-Q modes, where t = 2/denom cancels large terms."""
     f = np.atleast_1d(np.asarray(f_hz, dtype=float))
-    if np.any(f <= 0.0):
-        raise ValueError("frequencies must be positive")
+    require_finite(above=0.0, f_hz=f)
     with np.errstate(over="ignore"):  # h^2 = inf transmits 0
         power = 1.0 / (1.0 + 0.25 * _resonance_residual(chain, f) ** 2)
     return float(power[0]) if np.isscalar(f_hz) else power
@@ -475,8 +471,7 @@ def reference_defect_cell(
     """Defect cell derived from a mirror cell by stretching the wide
     segment; a larger ``width_scale`` (wider defect) lowers the trapped
     mode frequency."""
-    if width_scale <= 0.0:
-        raise ValueError("width_scale must be positive")
+    require_finite(above=0.0, width_scale=width_scale)
     narrow, wide = mirror_cell.segments
     stretched = Segment(wide.length * width_scale, wide.sound_speed, wide.acoustic_impedance)
     return UnitCell((narrow, stretched))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import angular
+from .core import angular, require_finite
 from .errors import ModulationTooDeep, OutOfDefect
 
 _QUARTZ_P = {
@@ -50,6 +50,9 @@ class PhotoelasticTensor:
     p33: float
     p41: float
     p44: float
+
+    def __post_init__(self):
+        require_finite(**vars(self))
 
     @classmethod
     def quartz_default(cls) -> "PhotoelasticTensor":
@@ -101,16 +104,14 @@ class OpticalConfig:
     c2: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.wavelength <= 0.0 or self.plate_thickness <= 0.0:
-            raise ValueError("wavelength and plate_thickness must be positive")
-        if self.n_o <= 1.0 or self.n_e <= 1.0:
-            raise ValueError("refractive indices must exceed 1")
+        require_finite(above=0.0, plate_thickness=self.plate_thickness, wavelength=self.wavelength)
+        require_finite(above=1.0, n_o=self.n_o, n_e=self.n_e)
+        require_finite(polarization_angle=self.polarization_angle)
         if self.c1 is None:
             object.__setattr__(self, "c1", _fresnel_front(self.n_o))
         if self.c2 is None:
             object.__setattr__(self, "c2", _fresnel_back(self.n_o))
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("c1 and c2 must be >= 0")
+        require_finite(at_least=0.0, c1=self.c1, c2=self.c2)
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,8 @@ class StandingWaveMode:
     frequency: float
 
     def __post_init__(self):
-        if self.defect_width <= 0.0 or self.frequency <= 0.0:
-            raise ValueError("defect_width and frequency must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be >= 0")
+        require_finite(above=0.0, defect_width=self.defect_width, frequency=self.frequency)
+        require_finite(at_least=0.0, amplitude=self.amplitude)
 
     @property
     def strain_amplitude(self) -> float:
@@ -161,6 +160,7 @@ def index_perturbation(tensor: PhotoelasticTensor, strain_voigt) -> np.ndarray:
     s = np.asarray(strain_voigt, dtype=float)
     if s.shape != (6,):
         raise ValueError("strain must be a 6-vector in Voigt order")
+    require_finite(strain_voigt=s)
     if np.any(np.abs(s) >= _MAX_STRAIN):
         raise ValueError("strain outside the small-strain validity bound")
     return tensor.matrix @ s
@@ -175,6 +175,7 @@ def principal_indices(config: OpticalConfig, s_yy: float) -> tuple[float, float,
     and stays tiny because the plate birefringence dominates the strain
     terms; the indices are the first-order expansions n - n^3*p*S/2.
     """
+    require_finite(s_yy=s_yy)
     if abs(s_yy) >= _MAX_STRAIN:
         raise ValueError("strain outside the small-strain validity bound")
     p = _QUARTZ
@@ -298,13 +299,12 @@ def mode_profile_scan(
     if not pairs:
         raise ValueError("envelope must be non-empty")
     amps = np.array([a for _, a in pairs])
+    require_finite(at_least=0.0, envelope=amps)
     if np.all(amps == 0.0):
         return [(pos, 0.0) for pos, _ in pairs]
     peak = float(np.max(amps))
     if not math.isclose(peak, 1.0, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError("envelope must be normalized to 1 at the defect")
-    if np.any(amps < 0.0):
-        raise ValueError("envelope amplitudes must be >= 0")
     deepest = detected_power(
         config, replace(mode_template, amplitude=mode_template.amplitude * peak), 0.0
     )

@@ -58,7 +58,7 @@ def test_couple_rejects_fewer_than_one_defect(capsys, data_dir, n):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: N must be >= 1\n"
+    assert err == f"error: N must be a whole number >= 1, got {n}\n"
 
 
 def test_couple_missing_drive_section(capsys, tmp_path, data_dir):

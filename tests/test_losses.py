@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmem.core import angular
@@ -421,6 +421,8 @@ log_offsets = st.one_of(st.floats(-3.0, 3.0), st.floats(-800.0, 800.0))
     activation=st.floats(-50.0, 400.0),
     exponent=st.floats(-1.0, 6.0),
 )
+# a floor whose Q overflows to inf, which the channel rejects
+@example(logs=(0.0, 0.0, 0.0, 697.0), activation=0.0, exponent=0.0)
 def test_residuals_are_those_of_the_unpacked_stack(logs, activation, exponent):
     # the fit evaluates its channel kernels on raw values; the residuals
     # are those of the stack _unpack builds, bit for bit, and infinite
